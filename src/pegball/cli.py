@@ -261,6 +261,8 @@ def run(argv: list[str]) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    # --cache-dir reaches the library as PEGBALL_CACHE for this call only
+    previous_cache = os.environ.get("PEGBALL_CACHE")
     if args.cache_dir:
         os.environ["PEGBALL_CACHE"] = args.cache_dir
 
@@ -279,6 +281,12 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if args.cache_dir:
+            if previous_cache is None:
+                del os.environ["PEGBALL_CACHE"]
+            else:
+                os.environ["PEGBALL_CACHE"] = previous_cache
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
 
     if args.json:

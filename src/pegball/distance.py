@@ -1,8 +1,13 @@
 """Exact reversal / prefix-reversal distances for standard and peg permutations.
 
-Three engines share the move definitions:
+Three engines compute them:
 
-- full-table BFS over S_n (memoized per model and length, optionally persisted);
+- level-synchronous frontier BFS over S_n (memoized per model and length,
+  optionally persisted).  Each move is an itemgetter over positions, so a
+  layer maps the whole frontier through every move at C speed.  Once the
+  frontier outgrows half the unvisited states, a full-table build turns
+  bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited permutation
+  joins the layer when some move maps it onto the frontier;
 - per-component BFS for peg permutations — bullet values are invariant under
   oriented reversals, so the state space splits by (length, bullet-value set)
   and each component holds a single goal state;
@@ -16,7 +21,9 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, filterfalse, permutations, repeat
 from math import factorial
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterator
 
@@ -134,16 +141,64 @@ def _standard_table(model: Model, n: int) -> dict[Perm, int]:
     key = (model, n)
     table = _STANDARD_TABLES.get(key)
     if table is None:
-        table = _bfs(identity(n), lambda p: _standard_neighbors(model, p))
+        table = _frontier_bfs(model, n)
         _STANDARD_TABLES[key] = table
     return table
 
 
-def _bfs(start, neighbors, max_depth: int | None = None) -> dict:
+def _moves(model: Model, n: int) -> list[itemgetter]:
+    """Each move as an itemgetter: move(p) is p with one block reversed."""
+    if model is Model.RD:
+        spans = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        spans = [(0, j) for j in range(1, n)]
+    return [itemgetter(*range(i), *range(j, i - 1, -1), *range(j + 1, n))
+            for i, j in spans]
+
+
+def _frontier_bfs(model: Model, n: int,
+                  max_depth: int | None = None) -> dict[Perm, int]:
+    """Distances from the identity of length n, out to max_depth if given.
+
+    A bottom-up layer is exact: a neighbour of an unvisited state lies at
+    most one layer closer, so it is in the table only if it is on the
+    frontier.  The unvisited states are kept in a list and selected with
+    compress, so the found tuples themselves become the table's keys.
+    """
+    start = identity(n)
+    dist = {start: 0}
+    seen = dist.__contains__
+    moves = _moves(model, n)
+    frontier = [start]
+    unvisited = None
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        if (unvisited is None and max_depth is None
+                and 2 * len(frontier) > factorial(n) - len(dist)):
+            unvisited = list(filterfalse(seen, permutations(start)))
+        layer: list[Perm] = []
+        if unvisited is None:
+            for move in moves:
+                # a move is a bijection, so one move yields no duplicates
+                fresh = list(filterfalse(seen, map(move, frontier)))
+                dist.update(zip(fresh, repeat(depth)))
+                layer += fresh
+        else:
+            for move in moves:
+                hits = list(map(seen, map(move, unvisited)))
+                layer += compress(unvisited, hits)
+                unvisited = list(compress(unvisited, map(not_, hits)))
+            dist.update(zip(layer, repeat(depth)))
+        frontier = layer
+    return dist
+
+
+def _bfs(start, neighbors) -> dict:
     dist = {start: 0}
     frontier = [start]
     depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    while frontier:
         depth += 1
         new: list = []
         for state in frontier:
@@ -371,7 +426,8 @@ def distance_peg_via_inflation(model: Model, pp: PegPermutation, N: int,
     g = monotone_inflate(pp, v)
     upper = distance_peg(model, pp)
     d = distance_bounded(model, g, upper)
-    assert d is not None, "grid member exceeded its peg distance bound"
+    if d is None:
+        raise RuntimeError("grid member exceeded its peg distance bound")
     return d
 
 
@@ -392,9 +448,7 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
     if kind is TableKind.STANDARD:
         _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
                          HARD_LIMIT_STANDARD, "permutation")
-        dist = _bfs(identity(n), lambda p: _standard_neighbors(model, p),
-                    max_depth=k)
-        return set(dist)
+        return set(_frontier_bfs(model, n, max_depth=k))
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
     out: set[PegPermutation] = set()
@@ -499,6 +553,14 @@ class DistanceTable:
         if len(data) != expected:
             raise ValueError(
                 f"table size {len(data)} != expected {expected} for {header!r}")
+        # rank 0 is the identity; the probe swaps (prefix reversal of length
+        # 2) or flips (oriented move on the first element) its first entry
+        if kind is TableKind.PEG:
+            probe = 3 ** (n - 1) if n >= 1 else 0
+        else:
+            probe = factorial(n - 1) if n >= 2 else 0
+        if data[0] != 0 or (probe and data[probe] != 1):
+            raise ValueError(f"identity or neighbour entry wrong in {header!r}")
         return cls(model, kind, n, data)
 
 
@@ -512,11 +574,10 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
     if kind is TableKind.STANDARD:
         _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
                          HARD_LIMIT_STANDARD, "permutation")
-        table = _standard_table(model, n)
-        data = bytearray(factorial(n))
-        for p, d in table.items():
-            data[_lehmer_rank(p)] = d
-        return DistanceTable(model, kind, n, bytes(data))
+        # lexicographic order is Lehmer-rank order
+        data = bytes(map(_standard_table(model, n).__getitem__,
+                         permutations(identity(n))))
+        return DistanceTable(model, kind, n, data)
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
     data = bytearray(factorial(n) * 3 ** n)
@@ -527,7 +588,8 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
     return DistanceTable(model, kind, n, bytes(data))
 
 
-_DISK_TABLES: dict[tuple[Model, TableKind, int], DistanceTable] = {}
+_DISK_TABLES: dict[tuple[Model, TableKind, int, str | Path | None],
+                   DistanceTable] = {}
 
 
 def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
@@ -538,21 +600,23 @@ def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
 def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
               cache_dir: str | Path | None = None,
               limit: int | None = None) -> DistanceTable:
-    """Memoized table, read from / written to the cache directory if set.
+    """Table memoized per cache directory, read from / written to it if set.
 
     The directory comes from the argument or the PEGBALL_CACHE environment
     variable; a corrupt cache file is rebuilt, not trusted.
     """
-    key = (model, kind, n)
-    if key in _DISK_TABLES:
-        return _DISK_TABLES[key]
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
+    # keyed by the directory as given: normalizing it would cost every read
+    key = (model, kind, n, directory or None)
+    table = _DISK_TABLES.get(key)
+    if table is not None:
+        return table
     if directory:
         path = cache_path(directory, model, kind, n)
         if path.exists():
             try:
                 table = DistanceTable.load(path)
-                if (table.model, table.kind, table.n) == key:
+                if (table.model, table.kind, table.n) == key[:3]:
                     _DISK_TABLES[key] = table
                     return table
             except (ValueError, OSError):

@@ -439,6 +439,15 @@ def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:
     if n == 0:
         yield PegPermutation((), ())
         return
+    for base, decs in _clean_compact_tuples(n):
+        yield PegPermutation(base, decs)
+
+
+def _clean_compact_tuples(n: int) -> Iterator[tuple[Perm, tuple[Decoration, ...]]]:
+    """(base, decorations) of each clean compact peg of length n >= 1.
+
+    Same order as enumerate_clean_compact, without building PegPermutations.
+    """
     order = (PLUS, MINUS, DOT)
     for base in itertools.permutations(range(1, n + 1)):
         consecutive = [abs(base[i + 1] - base[i]) == 1 for i in range(n - 1)]
@@ -446,7 +455,7 @@ def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:
             if any(consecutive[i] and _linked(base[i], decs[i], base[i + 1], decs[i + 1])
                    for i in range(n - 1)):
                 continue
-            yield PegPermutation(base, decs)
+            yield base, decs
 
 
 def parse_peg(text: str) -> PegPermutation:

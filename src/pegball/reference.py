@@ -29,6 +29,14 @@ PEG_DISTANCES: tuple[tuple[str, str, int], ...] = (
     ("rd", "1- 2-", 2),
 )
 
+# Layer sizes of the full distance tables at n = 9: entry d counts the
+# permutations at distance d from the identity.  tests/test_distance.py
+# checks them against a fresh table build.
+LAYER_SIZES_N9: dict[str, tuple[int, ...]] = {
+    "rd": (1, 36, 820, 11407, 69863, 169034, 105365, 6352, 2),
+    "prd": (1, 8, 56, 391, 2278, 10666, 38015, 93585, 132697, 79379, 5804),
+}
+
 # --- generating sets -------------------------------------------------------
 
 RD_GENERATING: dict[int, frozenset[str]] = {

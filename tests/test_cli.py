@@ -1,4 +1,5 @@
 import json
+import os
 
 from pegball import reference
 from pegball.cli import main
@@ -181,6 +182,17 @@ def test_cache_dir_flag(capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out.strip() == "2"
     assert any(p.suffix == ".dist" for p in tmp_path.iterdir())
+
+
+def test_cache_dir_flag_leaves_environment(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PEGBALL_CACHE", raising=False)
+    before = dict(os.environ)
+    assert main(["distance", "--cache-dir", str(tmp_path / "a"), "3412"]) == 0
+    assert dict(os.environ) == before
+    monkeypatch.setenv("PEGBALL_CACHE", str(tmp_path / "b"))
+    assert main(["distance", "--cache-dir", str(tmp_path / "a"), "3412"]) == 0
+    assert os.environ["PEGBALL_CACHE"] == str(tmp_path / "b")
+    capsys.readouterr()
 
 
 def test_threads_flag_accepted(capsys):

@@ -1,14 +1,17 @@
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 
 from pegball import reference
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, ball, breakpoints, build_table,
-                              cache_path, clear_memory_cache, distance,
-                              distance_bounded, distance_peg,
-                              distance_peg_via_inflation, get_table,
-                              lower_bound, pair_distance)
+                              TableKind, _bfs, _frontier_bfs,
+                              _standard_neighbors, _standard_table, ball,
+                              breakpoints, build_table, cache_path,
+                              clear_memory_cache, distance, distance_bounded,
+                              distance_peg, distance_peg_via_inflation,
+                              get_table, lower_bound, pair_distance)
 from pegball.peg import format_peg, parse_peg
 from pegball.perm import identity, parse_perm
 
@@ -85,6 +88,28 @@ def test_ball():
                 assert len(ball(Model(model), k, n)) == want
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_frontier_bfs_matches_per_state_bfs(model):
+    for n in range(9):
+        want = _bfs(identity(n), lambda p: _standard_neighbors(model, p))
+        assert _frontier_bfs(model, n) == want, n
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_ball_is_table_down_set(model):
+    for n in range(1, 8):
+        table = _standard_table(model, n)
+        for k in range(4):
+            assert ball(model, k, n) == {p for p, d in table.items() if d <= k}
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_layer_sizes_n9(model):
+    layers = Counter(_standard_table(model, 9).values())
+    got = tuple(layers[d] for d in range(len(layers)))
+    assert got == reference.LAYER_SIZES_N9[model.value]
+
+
 def test_peg_ball():
     goals = ball(Model.RD, 0, 2, kind=TableKind.PEG)
     assert {format_peg(q) for q in goals} == {"1+ 2+", "1+ 2.", "1. 2+", "1. 2."}
@@ -121,6 +146,43 @@ def test_table_load_rejects_corrupt(tmp_path):
         DistanceTable.load(path)
 
 
+def test_table_load_checks_identity_and_neighbour(tmp_path):
+    path = tmp_path / "t.dist"
+    for table, probe in ((build_table(Model.RD, 4), 6),
+                         (build_table(Model.PRD, 2, TableKind.PEG), 3)):
+        table.save(path)
+        assert DistanceTable.load(path).data == table.data
+        header_len = len(table.header()) + 1
+        for rank in (0, probe):
+            raw = bytearray(path.read_bytes())
+            raw[header_len + rank] ^= 1
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError):
+                DistanceTable.load(path)
+            table.save(path)
+
+
+def test_get_table_rebuilds_flipped_cache_file(tmp_path):
+    clear_memory_cache()
+    t = get_table(Model.PRD, 5, cache_dir=tmp_path)
+    path = cache_path(tmp_path, Model.PRD, TableKind.STANDARD, 5)
+    raw = bytearray(path.read_bytes())
+    raw[len(t.header()) + 1] = 3  # the identity's entry
+    path.write_bytes(bytes(raw))
+    clear_memory_cache()
+    assert get_table(Model.PRD, 5, cache_dir=tmp_path).data == t.data
+    assert DistanceTable.load(path).data == t.data
+
+
+def test_get_table_memo_per_cache_dir(tmp_path):
+    clear_memory_cache()
+    get_table(Model.RD, 4, cache_dir=tmp_path / "a")
+    get_table(Model.RD, 4)
+    get_table(Model.RD, 4, cache_dir=tmp_path / "b")
+    for d in ("a", "b"):
+        assert cache_path(tmp_path / d, Model.RD, TableKind.STANDARD, 4).exists()
+
+
 def test_get_table_uses_cache_dir(tmp_path):
     clear_memory_cache()
     t = get_table(Model.RD, 4, cache_dir=tmp_path)
@@ -152,6 +214,13 @@ def test_distance_peg_via_inflation():
     assert distance_peg_via_inflation(Model.RD, b, 2) == 2
     assert distance_peg_via_inflation(Model.RD, b, 6) == 3
     assert distance_peg_via_inflation(Model.RD, b, 6) == distance_peg(Model.RD, b)
+
+
+def test_distance_peg_via_inflation_reports_overshoot(monkeypatch):
+    module = sys.modules[distance_peg_via_inflation.__module__]
+    monkeypatch.setattr(module, "distance_bounded", lambda *args: None)
+    with pytest.raises(RuntimeError):
+        distance_peg_via_inflation(Model.RD, parse_peg("2+ 1+"), 2)
 
 
 def test_peg_state_goal():
