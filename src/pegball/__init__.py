@@ -19,8 +19,7 @@ from .generators import (GeneratingSet, rd_inflate_step, rd_generating_set,
                          prd_inflate_step, prd_generating_set, generating_set,
                          is_generating)
 from .basis import (PegBasis, MSet, peg_basis, is_peg_basis_member,
-                    exceptional_check, m_set, standard_basis,
-                    compactness_check)
+                    exceptional_check, m_set, standard_basis)
 from .enumeration import CountMethod, count_ball, sequence
 from .peg import proper_patterns
 from .verify import CheckResult, paper_suite, property_suite, run_suites

@@ -19,8 +19,7 @@ from .distance import (Model, ResourceLimitError, _peg_component, ball,
 from .inflation import a_set_stream
 from .peg import (DOT, ExceptionalKind, PegPermutation, _linked,
                   clean_compact_proper_patterns, enumerate_clean_compact,
-                  exceptional, is_clean_compact, is_compact, peg_sort_key,
-                  proper_patterns)
+                  exceptional, is_clean_compact, peg_sort_key, proper_patterns)
 from .perm import Perm, contains_pattern, minimal_elements
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "default_m_set_cap",
     "DEFAULT_SWEEP_LIMIT",
     "standard_basis",
-    "compactness_check",
 ]
 
 DEFAULT_K_LIMIT = {Model.RD: 3, Model.PRD: 5}
@@ -294,14 +292,3 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     union.update(_oracle_completion(model, k, sweep_to))
     return set(minimal_elements(union))
 
-
-def compactness_check(pp: PegPermutation) -> bool:
-    """Strips of length >= 2 must be all-bullet.
-
-    >>> from .peg import parse_peg
-    >>> compactness_check(parse_peg("3. 4. 1- 5- 2+"))
-    True
-    >>> compactness_check(parse_peg("3+ 4. 1- 5- 2+"))
-    False
-    """
-    return is_compact(pp)

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Every subcommand accepts --model, --json, --cache-dir, --limit, --seed and
---threads.  JSON output is a single object with the fixed keys "command",
-"model", "k", "result", "elapsed_ms" and "limits"; permutations and peg
-permutations appear as strings in their canonical text forms.
+Every subcommand accepts --model, --json, --cache-dir, --limit and --seed.
+JSON output is a single object with the fixed keys "command", "model", "k",
+"result", "elapsed_ms" and "limits" (the --limit and --cache-dir values);
+permutations and peg permutations appear as strings in their canonical text
+forms.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 resource limit
 exceeded, 4 verification failure.
@@ -22,7 +23,7 @@ from .distance import Model, ResourceLimitError, distance, distance_peg
 from .enumeration import CountMethod, sequence
 from .generators import generating_set
 from .inflation import grid_member
-from .peg import PegPermutation, format_peg, parse_peg, peg_of, peg_sort_key
+from .peg import PegPermutation, format_peg, parse_peg, peg_of
 from .perm import ParseError, Perm, contains_pattern, format_perm, parse_perm
 from .verify import run_suites
 
@@ -73,9 +74,6 @@ def build_parser() -> _Parser:
                              "per subcommand)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property checks")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker parallelism degree (accepted; execution "
-                             "is serial)")
 
     parser = _Parser(prog="pegball",
                      description="Distance balls of permutations under "
@@ -209,7 +207,7 @@ def _cmd_member(args) -> tuple[object, list[str], int]:
         result = {"member": True, "distance": d, "witness": witness}
         lines = [f"member (distance {d}), inflation of {witness}"]
     else:
-        basis = standard_basis(model, args.k, k_limit=args.limit)
+        basis = standard_basis(model, args.k)
         violated = next((format_perm(b)
                          for b in sorted(basis, key=lambda b: (len(b), b))
                          if contains_pattern(b, p)), None)
@@ -296,8 +294,7 @@ def run(argv: list[str]) -> int:
             "k": getattr(args, "k", None),
             "result": result,
             "elapsed_ms": elapsed_ms,
-            "limits": {"limit": args.limit, "cache_dir": args.cache_dir,
-                       "threads": args.threads},
+            "limits": {"limit": args.limit, "cache_dir": args.cache_dir},
         }
         print(json.dumps(envelope))
     else:

@@ -2,8 +2,8 @@
 
 Three engines compute them:
 
-- level-synchronous frontier BFS over S_n (memoized per model and length,
-  optionally persisted).  Each move is an itemgetter over positions, so a
+- level-synchronous frontier BFS over S_n, memoized per model and length as
+  one tuple-keyed dict.  Each move is an itemgetter over positions, so a
   layer maps the whole frontier through every move at C speed.  Once the
   frontier outgrows half the unvisited states, a full-table build turns
   bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited permutation
@@ -13,6 +13,11 @@ Three engines compute them:
   and each component holds a single goal state;
 - bounded iterative-deepening A* with breakpoint heuristics for one-off
   distances of permutations too long for tables.
+
+A cache directory only persists the memoized tables: its file holds the
+distances in rank order (lexicographic on permutations), seeds the dict on
+first use and is written from the dict when missing or corrupt.  Reads
+always go to the dict.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, filterfalse, permutations, repeat
+from itertools import compress, filterfalse, permutations, product, repeat
 from math import factorial
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterator
 
-from .peg import (DOT, MINUS, PLUS, Decoration, PegPermutation, StripDirection,
-                  strips)
+from .peg import _FLIP, DOT, MINUS, Decoration, PegPermutation, strips
 from .perm import Perm, check_permutation, identity
 
 __all__ = [
@@ -102,7 +106,8 @@ def _standard_neighbors(model: Model, p: Perm) -> Iterator[Perm]:
             yield p[:j][::-1] + p[j:]
 
 
-_FLIPC = {"+": "-", "-": "+", ".": "."}
+# peg states carry str decorations, which hash faster than Decoration members
+_FLIPC = {d.value: f.value for d, f in _FLIP.items()}
 
 PegState = tuple[Perm, tuple[str, ...]]
 
@@ -135,6 +140,9 @@ def _from_state(state: PegState) -> PegPermutation:
 
 _STANDARD_TABLES: dict[tuple[Model, int], dict[Perm, int]] = {}
 _PEG_COMPONENTS: dict[tuple[Model, int, frozenset[int]], dict[PegState, int]] = {}
+# (model, n, directory) whose file get_table has read into or written from
+# _STANDARD_TABLES; distance() skips the filesystem for these
+_PERSISTED: set[tuple[Model, int, str | Path]] = set()
 
 
 def _standard_table(model: Model, n: int) -> dict[Perm, int]:
@@ -194,11 +202,12 @@ def _frontier_bfs(model: Model, n: int,
     return dist
 
 
-def _bfs(start, neighbors) -> dict:
-    dist = {start: 0}
-    frontier = [start]
+def _bfs(starts, neighbors, max_depth: int | None = None) -> dict:
+    """Distances from the nearest of starts, out to max_depth if given."""
+    dist = dict.fromkeys(starts, 0)
+    frontier = list(dist)
     depth = 0
-    while frontier:
+    while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         new: list = []
         for state in frontier:
@@ -221,7 +230,7 @@ def _peg_component(model: Model, n: int,
     key = (model, n, bullets)
     comp = _PEG_COMPONENTS.get(key)
     if comp is None:
-        comp = _bfs(_goal_state(n, bullets),
+        comp = _bfs([_goal_state(n, bullets)],
                     lambda s: _peg_neighbors(model, s))
         _PEG_COMPONENTS[key] = comp
     return comp
@@ -230,7 +239,7 @@ def _peg_component(model: Model, n: int,
 def clear_memory_cache() -> None:
     _STANDARD_TABLES.clear()
     _PEG_COMPONENTS.clear()
-    _DISK_TABLES.clear()
+    _PERSISTED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +260,9 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     check_permutation(p)
     _effective_limit(len(p), limit, DEFAULT_LIMIT_STANDARD,
                      HARD_LIMIT_STANDARD, "permutation")
-    if cache_dir is not None or os.environ.get(_ENV_CACHE):
-        return get_table(model, len(p), TableKind.STANDARD,
-                         cache_dir=cache_dir).lookup(p)
+    directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
+    if directory and (model, len(p), directory) not in _PERSISTED:
+        get_table(model, len(p), cache_dir=directory, limit=limit)
     return _standard_table(model, len(p))[p]
 
 
@@ -451,56 +460,11 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
         return set(_frontier_bfs(model, n, max_depth=k))
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
-    out: set[PegPermutation] = set()
-    seen: set[PegState] = set()
-    frontier: list[PegState] = []
-    for mask in range(2 ** n):
-        bullets = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-        frontier.append(_goal_state(n, bullets))
-    seen.update(frontier)
-    out.update(_from_state(s) for s in frontier)
-    for _ in range(k):
-        new: list[PegState] = []
-        for state in frontier:
-            for nb in _peg_neighbors(model, state):
-                if nb not in seen:
-                    seen.add(nb)
-                    new.append(nb)
-        out.update(_from_state(s) for s in new)
-        frontier = new
-    return out
-
-
-def _lehmer_rank(p: Perm) -> int:
-    n = len(p)
-    r = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if p[j] < p[i])
-        r = r * (n - i) + smaller
-    return r
-
-
-def _lehmer_unrank(r: int, n: int) -> Perm:
-    digits = []
-    for m in range(1, n + 1):
-        digits.append(r % m)
-        r //= m
-    digits.reverse()
-    avail = list(range(1, n + 1))
-    return tuple(avail.pop(d) for d in digits)
-
-
-_DEC_DIGIT = {"+": 0, "-": 1, ".": 2}
-_DIGIT_DEC = {0: "+", 1: "-", 2: "."}
-
-
-def _peg_rank(state: PegState) -> int:
-    base, decs = state
-    n = len(base)
-    r = _lehmer_rank(base)
-    for d in decs:
-        r = r * 3 + _DEC_DIGIT[d]
-    return r
+    goals = [_goal_state(n, frozenset(v for v in range(1, n + 1)
+                                      if mask >> (v - 1) & 1))
+             for mask in range(2 ** n)]
+    near = _bfs(goals, lambda s: _peg_neighbors(model, s), max_depth=k)
+    return {_from_state(s) for s in near}
 
 
 @dataclass(frozen=True)
@@ -511,16 +475,6 @@ class DistanceTable:
     kind: TableKind
     n: int
     data: bytes
-
-    def lookup(self, p: Perm) -> int:
-        if self.kind is not TableKind.STANDARD:
-            raise TypeError("standard lookup on a peg table")
-        return self.data[_lehmer_rank(tuple(p))]
-
-    def lookup_peg(self, pp: PegPermutation) -> int:
-        if self.kind is not TableKind.PEG:
-            raise TypeError("peg lookup on a standard table")
-        return self.data[_peg_rank(_to_state(pp))]
 
     def header(self) -> str:
         return f"PEGBALL-DIST v1 {self.model.value} {self.kind.value} {self.n}"
@@ -566,30 +520,32 @@ class DistanceTable:
 
 def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
                 *, limit: int | None = None) -> DistanceTable:
-    """Full-table BFS; every state of the given kind gets an exact distance.
+    """Every state of the given kind with its exact distance, in rank order.
 
-    >>> build_table(Model.RD, 3).lookup((3, 2, 1))
-    1
+    Standard states are ranked lexicographically; a peg state ranks by its
+    base, then by its decorations with + < - < bullet.
+
+    >>> list(build_table(Model.RD, 3).data)
+    [0, 1, 1, 2, 2, 1]
     """
     if kind is TableKind.STANDARD:
         _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
                          HARD_LIMIT_STANDARD, "permutation")
-        # lexicographic order is Lehmer-rank order
         data = bytes(map(_standard_table(model, n).__getitem__,
                          permutations(identity(n))))
         return DistanceTable(model, kind, n, data)
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
-    data = bytearray(factorial(n) * 3 ** n)
-    for mask in range(2 ** n):
-        bullets = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-        for state, d in _peg_component(model, n, bullets).items():
-            data[_peg_rank(state)] = d
+    # each decoration tuple with the mask of its bullet positions
+    decorations = [(decs, sum(1 << i for i, d in enumerate(decs) if d == "."))
+                   for decs in product("+-.", repeat=n)]
+    data = bytearray()
+    for base in permutations(identity(n)):
+        comps = [_peg_component(model, n, frozenset(
+                     v for i, v in enumerate(base) if mask >> i & 1))
+                 for mask in range(2 ** n)]
+        data += bytes(comps[mask][base, decs] for decs, mask in decorations)
     return DistanceTable(model, kind, n, bytes(data))
-
-
-_DISK_TABLES: dict[tuple[Model, TableKind, int, str | Path | None],
-                   DistanceTable] = {}
 
 
 def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
@@ -600,29 +556,30 @@ def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
 def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
               cache_dir: str | Path | None = None,
               limit: int | None = None) -> DistanceTable:
-    """Table memoized per cache directory, read from / written to it if set.
+    """The table, read from or written to the cache directory if one is set.
 
     The directory comes from the argument or the PEGBALL_CACHE environment
-    variable; a corrupt cache file is rebuilt, not trusted.
+    variable.  A valid standard file seeds the in-memory table that
+    distance() reads, unless that table is already in memory; without one,
+    the file is written from the in-memory table.  Either way distance()
+    then skips the directory for this (model, n).  A corrupt cache file is
+    rebuilt, not trusted.
     """
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
-    # keyed by the directory as given: normalizing it would cost every read
-    key = (model, kind, n, directory or None)
-    table = _DISK_TABLES.get(key)
-    if table is not None:
-        return table
-    if directory:
-        path = cache_path(directory, model, kind, n)
-        if path.exists():
-            try:
-                table = DistanceTable.load(path)
-                if (table.model, table.kind, table.n) == key[:3]:
-                    _DISK_TABLES[key] = table
-                    return table
-            except (ValueError, OSError):
-                pass
-    table = build_table(model, n, kind, limit=limit)
-    if directory:
-        table.save(cache_path(directory, model, kind, n))
-    _DISK_TABLES[key] = table
+    if not directory:
+        return build_table(model, n, kind, limit=limit)
+    path = cache_path(directory, model, kind, n)
+    try:
+        table = DistanceTable.load(path)
+    except (ValueError, OSError):
+        table = None
+    if table is None or (table.model, table.kind, table.n) != (model, kind, n):
+        table = build_table(model, n, kind, limit=limit)
+        table.save(path)
+    elif kind is TableKind.STANDARD and (model, n) not in _STANDARD_TABLES:
+        # lexicographic order is rank order
+        _STANDARD_TABLES[model, n] = dict(
+            zip(permutations(identity(n)), table.data))
+    if kind is TableKind.STANDARD:
+        _PERSISTED.add((model, n, directory))
     return table

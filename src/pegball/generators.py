@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distance import Model, distance_peg
-from .peg import (DOT, MINUS, PLUS, Decoration, PegPermutation,
+from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation,
                   is_clean_compact, oriented_reversal, peg_sort_key)
 
 __all__ = [
@@ -131,9 +131,8 @@ def prd_inflate_step(pp: PegPermutation, i: int) -> PegPermutation:
 
     alpha_b, alpha_d = bump(pp.base[: i - 1], pp.decorations[: i - 1])
     beta_b, beta_d = bump(pp.base[i:], pp.decorations[i:])
-    flip = {PLUS: MINUS, MINUS: PLUS, DOT: DOT}
     alpha_rb = alpha_b[::-1]
-    alpha_rd = [flip[d] for d in alpha_d[::-1]]
+    alpha_rd = [_FLIP[d] for d in alpha_d[::-1]]
     if sign is PLUS:
         base = [x] + alpha_rb + [x + 1] + beta_b
         decs = [MINUS] + alpha_rd + [PLUS] + beta_d

@@ -9,6 +9,7 @@ rescaled so the result is a standard permutation.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .peg import DOT, MINUS, PLUS, Decoration, PegPermutation, is_clean_compact
@@ -203,22 +204,26 @@ def grid_member_peg(pp: PegPermutation, g: PegPermutation) -> bool:
     return rec(0, 0)
 
 
-def legal_vectors(pp: PegPermutation, total: int) -> Iterator[InflationVector]:
-    """All legal inflation vectors for pp with entries summing to total."""
-    decs = pp.decorations
-    m = len(decs)
+def _compositions(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Vectors v summing to total with 0 <= v[i] <= caps[i]."""
+    m = len(caps)
 
     def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if idx == m:
             if remaining == 0:
                 yield ()
             return
-        cap = min(remaining, 1) if decs[idx] is DOT else remaining
-        for size in range(cap + 1):
+        for size in range(min(caps[idx], remaining) + 1):
             for rest in rec(idx + 1, remaining - size):
                 yield (size,) + rest
 
     return rec(0, total)
+
+
+def legal_vectors(pp: PegPermutation, total: int) -> Iterator[InflationVector]:
+    """All legal inflation vectors for pp with entries summing to total."""
+    return _compositions([1 if d is DOT else total for d in pp.decorations],
+                         total)
 
 
 def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
@@ -250,23 +255,10 @@ def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:
     """
     if not is_clean_compact(beta):
         raise ValueError(f"not clean compact: {beta}")
-    decs = beta.decorations
-    m = len(decs)
-    floor = [1 if d is DOT else 2 for d in decs]
-
-    def vectors(length: int) -> Iterator[tuple[int, ...]]:
-        def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-            if idx == m:
-                if remaining == 0:
-                    yield ()
-                return
-            lo = floor[idx]
-            hi = 1 if decs[idx] is DOT else remaining - sum(floor[idx + 1:])
-            for size in range(lo, hi + 1):
-                for rest in rec(idx + 1, remaining - size):
-                    yield (size,) + rest
-        return rec(0, length)
-
+    floor = [1 if d is DOT else 2 for d in beta.decorations]
     for length in range(sum(floor), max_total_length + 1):
-        batch = {monotone_inflate(beta, v) for v in vectors(length)}
+        spare = length - sum(floor)
+        caps = [0 if d is DOT else spare for d in beta.decorations]
+        batch = {monotone_inflate(beta, tuple(map(add, floor, extra)))
+                 for extra in _compositions(caps, spare)}
         yield from sorted(batch)

@@ -34,7 +34,6 @@ __all__ = [
     "exceptional_t",
     "min_inflation",
     "enumerate_clean_compact",
-    "identity_peg",
     "parse_peg",
     "format_peg",
     "peg_sort_key",
@@ -109,18 +108,6 @@ class PegPermutation:
 
     def __str__(self) -> str:
         return format_peg(self)
-
-    @property
-    def is_clean_compact(self) -> bool:
-        return is_clean_compact(self)
-
-    @property
-    def is_compact(self) -> bool:
-        return is_compact(self)
-
-    @property
-    def strips(self) -> list[Strip]:
-        return strips(self)
 
     def bullet_values(self) -> frozenset[int]:
         """Values carrying the bullet; invariant under oriented reversals."""
@@ -416,12 +403,6 @@ def min_inflation(pp: PegPermutation) -> Perm:
 
     v = tuple(1 if d is DOT else 2 for d in pp.decorations)
     return monotone_inflate(pp, v)
-
-
-def identity_peg(n: int, decorations: Iterable[Decoration] | None = None) -> PegPermutation:
-    """Identity base; all + by default."""
-    decs = tuple(decorations) if decorations is not None else (PLUS,) * n
-    return PegPermutation(tuple(range(1, n + 1)), decs)
 
 
 def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:

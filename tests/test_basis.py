@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from pegball import reference
-from pegball.basis import (DEFAULT_K_LIMIT, compactness_check,
-                           exceptional_check, is_peg_basis_member, m_set,
-                           peg_basis, peg_basis_bound, standard_basis)
+from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
+                           is_peg_basis_member, m_set, peg_basis,
+                           peg_basis_bound, standard_basis)
 from pegball.distance import (Model, ResourceLimitError, ball, distance,
                               distance_peg)
 from pegball.peg import (ExceptionalKind, PegPermutation,
@@ -182,8 +182,3 @@ def test_exceptional_check():
             assert r.distance == k + 2
             assert r.distance_ok and r.in_basis_k and r.in_basis_k_plus_1
 
-
-def test_compactness_check():
-    assert compactness_check(parse_peg("3. 4. 1- 5- 2+"))
-    assert not compactness_check(parse_peg("3+ 4. 1- 5- 2+"))
-    assert compactness_check(parse_peg(""))

@@ -2,6 +2,8 @@ import json
 import os
 
 from pegball import reference
+from pegball import cli
+from pegball.basis import standard_basis
 from pegball.cli import main
 from pegball.distance import Model
 from pegball.enumeration import CountMethod, sequence
@@ -80,6 +82,21 @@ def test_member(capsys):
     assert out.startswith("member (distance 2)")
 
 
+def test_member_limit_is_not_a_k_limit(capsys, monkeypatch):
+    calls = []
+
+    def recording_basis(*args, **kwargs):
+        calls.append(kwargs)
+        return standard_basis(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "standard_basis", recording_basis)
+    code, out, _ = run_cli(capsys, "member", "--k", "1", "--limit", "4",
+                           "3 4 1 2")
+    assert code == 0
+    assert "contains basis element 2 3 1" in out
+    assert calls and all("k_limit" not in kw for kw in calls)
+
+
 def test_grid_member(capsys):
     code, out, _ = run_cli(capsys, "grid-member", "2+ 1+", "3 4 1 2")
     assert code == 0 and out.strip() == "yes"
@@ -105,7 +122,7 @@ def test_json_envelope(capsys):
     assert payload["command"] == "distance"
     assert payload["model"] == "rd"
     assert payload["result"] == 2
-    assert set(payload["limits"]) == {"limit", "cache_dir", "threads"}
+    assert set(payload["limits"]) == {"limit", "cache_dir"}
 
 
 def test_json_peg_basis_round_trip(capsys):
@@ -195,6 +212,7 @@ def test_cache_dir_flag_leaves_environment(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(capsys, "distance", "--threads", "4", "3412")
-    assert code == 0 and out.strip() == "2"
+def test_threads_flag_rejected(capsys):
+    code, out, err = run_cli(capsys, "distance", "--threads", "4", "3412")
+    assert code == 1 and out == ""
+    assert "usage error" in err

@@ -12,7 +12,7 @@ from pegball.distance import (DistanceTable, Model, ResourceLimitError,
                               clear_memory_cache, distance, distance_bounded,
                               distance_peg, distance_peg_via_inflation,
                               get_table, lower_bound, pair_distance)
-from pegball.peg import format_peg, parse_peg
+from pegball.peg import PegPermutation, format_peg, parse_peg
 from pegball.perm import identity, parse_perm
 
 
@@ -91,7 +91,7 @@ def test_ball():
 @pytest.mark.parametrize("model", list(Model))
 def test_frontier_bfs_matches_per_state_bfs(model):
     for n in range(9):
-        want = _bfs(identity(n), lambda p: _standard_neighbors(model, p))
+        want = _bfs([identity(n)], lambda p: _standard_neighbors(model, p))
         assert _frontier_bfs(model, n) == want, n
 
 
@@ -116,13 +116,29 @@ def test_peg_ball():
     assert len(ball(Model.RD, 1, 2, kind=TableKind.PEG)) == 12
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_peg_ball_is_distance_down_set(model):
+    for n in range(1, 5):
+        pegs = [PegPermutation(base, decs)
+                for base in itertools.permutations(identity(n))
+                for decs in itertools.product("+-.", repeat=n)]
+        for k in range(4):
+            assert ball(model, k, n, TableKind.PEG) == \
+                {pp for pp in pegs if distance_peg(model, pp) <= k}, (n, k)
+
+
+def _read(table):
+    """A standard table's entries by permutation: rank order is lexicographic."""
+    return dict(zip(itertools.permutations(identity(table.n)), table.data))
+
+
 def test_build_table_and_lookup():
     t = build_table(Model.RD, 4)
     assert t.model is Model.RD and t.kind is TableKind.STANDARD and t.n == 4
     assert t.header() == "PEGBALL-DIST v1 rd standard 4"
-    assert t.lookup((3, 4, 1, 2)) == 2
-    assert t.lookup((1, 2, 3, 4)) == 0
-    assert max(t.lookup(p) for p in itertools.permutations(range(1, 5))) == 3
+    assert _read(t)[3, 4, 1, 2] == 2
+    assert _read(t)[1, 2, 3, 4] == 0
+    assert max(t.data) == 3
 
 
 def test_table_save_load_round_trip(tmp_path):
@@ -132,8 +148,7 @@ def test_table_save_load_round_trip(tmp_path):
     assert path.read_bytes().startswith(b"PEGBALL-DIST v1 prd standard 3")
     u = DistanceTable.load(path)
     assert u.model is t.model and u.kind is t.kind and u.n == t.n
-    assert all(u.lookup(p) == t.lookup(p)
-               for p in itertools.permutations(range(1, 4)))
+    assert _read(u) == _read(t) == _standard_table(Model.PRD, 3)
 
 
 def test_table_load_rejects_corrupt(tmp_path):
@@ -193,13 +208,48 @@ def test_get_table_uses_cache_dir(tmp_path):
     clear_memory_cache()
     path.write_bytes(b"garbage")
     u = get_table(Model.RD, 4, cache_dir=tmp_path)
-    assert u.lookup((3, 4, 1, 2)) == t.lookup((3, 4, 1, 2)) == 2
+    assert _read(u)[3, 4, 1, 2] == _read(t)[3, 4, 1, 2] == 2
 
 
 def test_distance_with_cache_dir(tmp_path):
     clear_memory_cache()
     assert distance(Model.RD, (3, 4, 1, 2), cache_dir=tmp_path) == 2
     assert cache_path(tmp_path, Model.RD, TableKind.STANDARD, 4).exists()
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_distance_with_cache_dir_matches_bfs(model, tmp_path):
+    for n in range(8):
+        want = _frontier_bfs(model, n)
+        # the first pass writes the file, the second reads it back
+        for _ in range(2):
+            clear_memory_cache()
+            assert all(distance(model, p, cache_dir=tmp_path) == d
+                       for p, d in want.items()), n
+        assert cache_path(tmp_path, model, TableKind.STANDARD, n).exists()
+
+
+def test_distance_reads_warm_cache_without_bfs(tmp_path, monkeypatch):
+    clear_memory_cache()
+    assert distance(Model.PRD, (3, 1, 4, 2, 5), cache_dir=tmp_path) == 4
+    clear_memory_cache()
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("table rebuilt despite a warm cache file")
+
+    monkeypatch.setattr(sys.modules[distance.__module__], "_frontier_bfs",
+                        no_bfs)
+    assert distance(Model.PRD, (3, 1, 4, 2, 5), cache_dir=tmp_path) == 4
+    assert distance(Model.PRD, (5, 4, 3, 2, 1), cache_dir=tmp_path) == 1
+
+
+def test_cache_file_never_replaces_memory_table(tmp_path):
+    clear_memory_cache()
+    get_table(Model.RD, 5, cache_dir=tmp_path)
+    table = _standard_table(Model.RD, 5)
+    get_table(Model.RD, 5, cache_dir=tmp_path)
+    assert distance(Model.RD, (2, 1, 3, 4, 5), cache_dir=tmp_path / "b") == 1
+    assert _standard_table(Model.RD, 5) is table
 
 
 def test_distance_env_cache(tmp_path, monkeypatch):
