@@ -10,7 +10,7 @@ from pegball.distance import (Model, ResourceLimitError, ball, distance,
                               distance_peg)
 from pegball.peg import (ExceptionalKind, PegPermutation,
                          enumerate_clean_compact, format_peg,
-                         is_clean_compact, parse_peg)
+                         is_clean_compact, is_compact, parse_peg)
 from pegball.perm import avoids_all, contains_pattern, parse_perm
 
 
@@ -182,3 +182,8 @@ def test_exceptional_check():
             assert r.distance == k + 2
             assert r.distance_ok and r.in_basis_k and r.in_basis_k_plus_1
 
+
+def test_compactness_check():
+    assert is_compact(parse_peg("3. 4. 1- 5- 2+"))
+    assert not is_compact(parse_peg("3+ 4. 1- 5- 2+"))
+    assert is_compact(parse_peg(""))

@@ -60,7 +60,6 @@ def test_clean_compact_and_compact():
     assert is_clean_compact(parse_peg("1- 2-"))
     assert is_compact(parse_peg("3. 4. 1- 5- 2+"))
     assert not is_compact(parse_peg("3+ 4. 1- 5- 2+"))
-    assert is_compact(parse_peg(""))
 
 
 def test_peg_of_collapses_strips():
