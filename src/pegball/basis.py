@@ -8,19 +8,23 @@ the search finite: 2k+1 for reversals (2 when k = 0) and max(k+2, 4) for
 prefix reversals, where the exceptional families reach k+2 and the all-bullet
 pegs on 2413 and 3142, which have no clean compact pattern one shorter, sit at
 length 4 in every basis with k <= 3 (see peg_basis_bound).
+
+The standard basis comes from a sweep of the ball levels to a proven length
+(standard_basis_bound).  The M-sets (m_set), the paper's route, cross-check
+it: three members of the reversal basis of B_2 avoid every M-set witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import (Model, ResourceLimitError, _peg_component, ball,
-                       distance, distance_bounded, distance_peg)
+from .distance import (Model, ResourceLimitError, _frontier_bfs,
+                       _peg_component, distance_bounded, distance_peg)
 from .inflation import a_set_stream
 from .peg import (DOT, ExceptionalKind, PegPermutation, _linked,
                   clean_compact_proper_patterns, enumerate_clean_compact,
                   exceptional, is_clean_compact, peg_sort_key, proper_patterns)
-from .perm import Perm, contains_pattern, minimal_elements
+from .perm import Perm, contains_pattern
 
 __all__ = [
     "PegBasis",
@@ -32,8 +36,7 @@ __all__ = [
     "is_peg_basis_member",
     "exceptional_check",
     "m_set",
-    "default_m_set_cap",
-    "DEFAULT_SWEEP_LIMIT",
+    "standard_basis_bound",
     "standard_basis",
 ]
 
@@ -209,17 +212,13 @@ def exceptional_check(k: int) -> list[ExceptionalReport]:
     return out
 
 
-def default_m_set_cap(beta: PegPermutation, target: int) -> int:
-    return len(beta) + 2 * (target + 1)
-
-
 def m_set(model: Model, beta: PegPermutation,
           length_cap: int | None = None) -> MSet:
-    """Minimal permutations in A_beta realizing beta's peg distance.
+    """Minimal permutations in A_beta realizing beta's peg distance d.
 
     Every member of A_beta has distance <= distance_peg(beta) (it is a grid
-    member), so candidates are screened with a bounded search; survivors are
-    filtered to pattern-minimal ones within the candidate set.
+    member), so candidates up to length_cap (default len(beta) + 2d + 2) are
+    screened with a bounded search, then filtered to pattern-minimal ones.
 
     >>> from .peg import parse_peg
     >>> sorted(m_set(Model.RD, parse_peg("1- 2-")).members)
@@ -228,11 +227,9 @@ def m_set(model: Model, beta: PegPermutation,
     [(4, 2, 1, 3)]
     """
     target = distance_peg(model, beta)
-    cap = default_m_set_cap(beta, target) if length_cap is None else length_cap
-    candidates: list[Perm] = []
-    for g in a_set_stream(beta, cap):
-        if distance_bounded(model, g, target) == target:
-            candidates.append(g)
+    cap = len(beta) + 2 * (target + 1) if length_cap is None else length_cap
+    candidates = [g for g in a_set_stream(beta, cap)
+                  if distance_bounded(model, g, target) == target]
     members = [g for g in candidates
                if not any(len(h) < len(g) and contains_pattern(h, g)
                           for h in candidates)]
@@ -240,55 +237,85 @@ def m_set(model: Model, beta: PegPermutation,
                 cap_hit=not candidates)
 
 
-DEFAULT_SWEEP_LIMIT = 8
+def standard_basis_bound(model: Model, k: int) -> int:
+    """Length past which the standard basis of B_k has no member.
 
+    N = max(floor((ck+3)^2/4), 2ck+6), c = 2 for reversals and 1 for prefix
+    reversals.  A breakpoint is an adjacent pair of entries whose values are
+    not consecutive; strips are the maximal runs between breakpoints.
 
-def _oracle_completion(model: Model, k: int, max_len: int) -> set[Perm]:
-    """Every minimal permutation outside B_k with length <= max_len.
+    (A) A reversal separates at most two adjacent pairs, a prefix reversal
+    one, so a sorting of q in d moves separates at most c*d of q's adjacent
+    pairs, every breakpoint among them (Kececioglu & Sankoff 1995).
+    (B) If a sorting of q never separates adjacent entries x, y of a strip,
+    each move reverses a block holding both or neither, so an entry inserted
+    between them, valued between them, rides along: the same moves sort the
+    longer permutation (Hannenhalli & Pevzner 1996: keep long strips whole).
 
-    The ball class is closed downward, so each length-n member arises from
-    a length-(n-1) member by inserting the new maximum; an insertion that
-    leaves the ball is minimal excluded iff its remaining one-element
-    deletions all stay inside.
+    Let p of length n be a basis member: d(p) > k, but its one-point
+    deletions have distance <= k.  Say p has s strips, the longest of
+    length M, so n <= sM.  Deleting v can make only {v-1, v+1} consecutive.
+    If M >= 3, delete an interior entry of a longest strip; its value
+    neighbours flank it, so the deletion q keeps s strips.  A sorting of q
+    in <= k moves separates its s-1 breakpoints and, by (B), the M-2 pairs
+    of the shortened strip, or re-inserting the entry would give p at
+    distance <= k.  By (A), s+M <= ck+3, so n <= sM <= floor((ck+3)^2/4).
+    If M <= 2, delete an entry of a 2-strip (any entry when M = 1): its two
+    pairs, at most one a breakpoint (two when M = 1), become one, and only
+    {v-1, v+1} can join elsewhere, so q keeps s-3 breakpoints or more (n-4
+    when M = 1).  By (A), s-3 <= ck, so n <= 2s <= 2ck+6.
+
+    >>> [standard_basis_bound(Model.RD, k) for k in range(4)]
+    [6, 10, 14, 20]
+    >>> [standard_basis_bound(Model.PRD, k) for k in range(6)]
+    [6, 8, 10, 12, 14, 16]
     """
-    found: set[Perm] = set()
-    level: set[Perm] = {(1,)} if max_len >= 2 else set()
-    for n in range(2, max_len + 1):
-        cur = ball(model, k, n)
-        for p in level:
-            for pos in range(n):
-                q = p[:pos] + (n,) + p[pos:]
-                if q in cur:
-                    continue
-                deletions = (tuple(v - (v > q[i]) for j, v in enumerate(q)
-                                   if j != i)
-                             for i in range(n) if i != pos)
-                if all(d in level for d in deletions):
-                    found.add(q)
-        level = cur
-    return found
+    ck = (2 if model is Model.RD else 1) * k
+    return max((ck + 3) ** 2 // 4, 2 * ck + 6)
 
 
 def standard_basis(model: Model, k: int, length_cap: int | None = None,
                    *, k_limit: int | None = None) -> set[Perm]:
-    """Basis of the pattern class B_k: M-sets completed by the ball oracle.
+    """Basis of the pattern class B_k, by a sweep of the ball levels.
 
-    The M-set union alone can be incomplete.  A permutation whose peg
-    properly contains a basis peg beta is excluded from B_k, yet it may
-    contain no witness from M(beta) when the fiber of beta bottoms out
-    below distance(beta): the fiber of 2+ 1+ starts at 3412 with distance
-    2, so 45231 is minimal outside B_2 for reversals while avoiding the
-    whole M-set union.  Sweeping the ball levels restores every minimal
-    excluded permutation up to min(length_cap, DEFAULT_SWEEP_LIMIT).
+    Balls are closed downward, so a basis member of length n is some p in
+    B_k(n-1) with n inserted, outside B_k(n), whose other one-point
+    deletions lie in B_k(n-1).  Deleting p's entry i from the insertion at
+    pos gives p's deletion at i with n-1 inserted at pos - (pos > i), so
+    each ball member keeps a bit mask of the slots where inserting the next
+    maximum stays in the ball.  The sweep stops at standard_basis_bound;
+    length_cap can only shorten it.
 
     >>> sorted(standard_basis(Model.RD, 1), key=lambda p: (len(p), p))
     [(2, 3, 1), (3, 1, 2), (2, 1, 4, 3)]
     """
-    union: set[Perm] = set()
-    for beta in peg_basis(model, k, k_limit=k_limit).members:
-        union.update(m_set(model, beta, length_cap).members)
-    sweep_to = DEFAULT_SWEEP_LIMIT if length_cap is None \
-        else min(length_cap, DEFAULT_SWEEP_LIMIT)
-    union.update(_oracle_completion(model, k, sweep_to))
-    return set(minimal_elements(union))
-
+    if k < 0:
+        raise ValueError(f"negative k: {k}")
+    limit = DEFAULT_K_LIMIT[model] if k_limit is None else k_limit
+    if k > limit:
+        raise ResourceLimitError(f"basis radius {k} exceeds limit", limit)
+    sweep_to = standard_basis_bound(model, k)
+    if length_cap is not None:
+        sweep_to = min(length_cap, sweep_to)
+    found: set[Perm] = set()
+    prev_slots, level = {(): 1}, {(1,)}  # B_k(0) with its slot mask, B_k(1)
+    for n in range(2, sweep_to + 1):
+        cur = _frontier_bfs(model, n, max_depth=k)
+        slots: dict[Perm, int] = {}
+        for p in level:
+            slots[p] = inside = sum(1 << pos for pos in range(n)
+                                    if p[:pos] + (n,) + p[pos:] in cur)
+            outside = ((1 << n) - 1) & ~inside
+            for i in range(n - 1):
+                if not outside:
+                    break
+                v = p[i]
+                mask = prev_slots[tuple([x - (x > v)
+                                         for x in p[:i] + p[i + 1:]])]
+                # the deletion at i needs slot pos if pos <= i, else pos - 1
+                low = (1 << (i + 1)) - 1
+                outside &= (mask & low) | (mask << 1 & ~low)
+            found.update(p[:pos] + (n,) + p[pos:] for pos in range(n)
+                         if outside >> pos & 1)
+        prev_slots, level = slots, cur
+    return found

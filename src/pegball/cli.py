@@ -104,7 +104,7 @@ def build_parser() -> _Parser:
                        help="standard basis with M-set provenance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", metavar="L", type=int, default=None,
-                   help="length cap for the M-set search")
+                   help="length cap for the basis sweep and the M-set search")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="ball sizes for n = 1 .. n-max")

@@ -23,7 +23,6 @@ always go to the dict.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, filterfalse, permutations, product, repeat
@@ -480,10 +479,14 @@ class DistanceTable:
         return f"PEGBALL-DIST v1 {self.model.value} {self.kind.value} {self.n}"
 
     def save(self, path: str | Path) -> None:
-        """Write atomically: temp file in the target directory, then rename."""
+        """Write atomically: temp file in the target directory, then rename.
+
+        The file's mode is 0666 less the umask, so a shared cache works.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(self.header().encode() + b"\n")

@@ -29,15 +29,9 @@ class CountMethod(Enum):
 
 DEFAULT_LIMIT_CLASS = 12
 
-_BASIS_CACHE: dict[tuple[Model, int], frozenset[Perm]] = {}
-_CLASS_CACHE: dict[tuple[Model, int], list[set[Perm]]] = {}
-
-
-def _basis(model: Model, k: int) -> frozenset[Perm]:
-    key = (model, k)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = frozenset(standard_basis(model, k))
-    return _BASIS_CACHE[key]
+# (model, k) -> (standard basis, [B_k(0), B_k(1), ...]), grown on demand
+_CLASS_CACHE: dict[tuple[Model, int],
+                   tuple[frozenset[Perm], list[set[Perm]]]] = {}
 
 
 def _class_members(model: Model, k: int, n: int) -> set[Perm]:
@@ -46,18 +40,20 @@ def _class_members(model: Model, k: int, n: int) -> set[Perm]:
     The class is closed downward, so every length-(m+1) member arises from a
     length-m member by deleting the maximum value.
     """
-    basis = _basis(model, k)
-    key = (model, k)
-    levels = _CLASS_CACHE.setdefault(key, [{()}])
-    while len(levels) <= n:
-        m = len(levels)
-        grown: set[Perm] = set()
-        for p in levels[m - 1]:
-            for pos in range(m):
-                q = p[:pos] + (m,) + p[pos:]
-                if avoids_all(basis, q):
-                    grown.add(q)
-        levels.append(grown)
+    basis, levels = _CLASS_CACHE.get((model, k), (None, [{()}]))
+    if len(levels) <= n:
+        if basis is None:
+            basis = frozenset(standard_basis(model, k))
+        while len(levels) <= n:
+            m = len(levels)
+            grown: set[Perm] = set()
+            for p in levels[m - 1]:
+                for pos in range(m):
+                    q = p[:pos] + (m,) + p[pos:]
+                    if avoids_all(basis, q):
+                        grown.add(q)
+            levels.append(grown)
+        _CLASS_CACHE[model, k] = basis, levels
     return levels[n]
 
 

@@ -115,93 +115,72 @@ def _blocks_consistent(pp: PegPermutation,
     return acc == n
 
 
+def _grid_search(pp: PegPermutation, gb: Perm,
+                 gd: tuple[Decoration, ...] | None) -> bool:
+    """Segment gb into len(pp) consecutive blocks, one per element of pp.
+
+    Each block is a run of consecutive values oriented per its element's
+    decoration (bullets of size <= 1), and the blocks' value intervals stack
+    in pp's base order.  With decorations gd, every entry of a block must
+    also be a bullet or carry its element's decoration.
+    """
+    m, n = len(pp), len(gb)
+    decs = pp.decorations
+    blocks: list[tuple[int, int] | None] = [None] * m
+
+    def rec(pos: int, idx: int) -> bool:
+        if idx == m:
+            return pos == n and _blocks_consistent(pp, blocks, n)
+        d = decs[idx]
+        blocks[idx] = None
+        if rec(pos, idx + 1):
+            return True
+        if pos == n or (gd is not None and gd[pos] not in (DOT, d)):
+            return False
+        step = -1 if d is MINUS else 1
+        limit = 1 if d is DOT else n - pos
+        end = pos + 1
+        while True:
+            # a block ascends by step 1 or descends by step -1
+            blocks[idx] = ((gb[pos], gb[end - 1]) if step == 1
+                           else (gb[end - 1], gb[pos]))
+            if rec(end, idx + 1):
+                return True
+            if (end - pos >= limit or end == n
+                    or gb[end] - gb[end - 1] != step
+                    or (gd is not None and gd[end] not in (DOT, d))):
+                blocks[idx] = None
+                return False
+            end += 1
+
+    return rec(0, 0)
+
+
 def grid_member(pp: PegPermutation, g: Perm) -> bool:
     """True iff g is a monotone inflation of pp.
 
-    Searches segmentations of g into len(pp) consecutive blocks, each a run
-    of consecutive values oriented per its decoration (bullets of size <= 1),
-    with block value intervals stacking in pp's base order.
+    The same search as grid_member_peg on g with every entry a bullet.
 
     >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (1, 4, 3, 2))
     True
     >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (2, 1, 4, 3))
     False
     """
-    m, n = len(pp), len(g)
-    blocks: list[tuple[int, int] | None] = [None] * m
-
-    def rec(pos: int, idx: int) -> bool:
-        if idx == m:
-            return pos == n and _blocks_consistent(pp, blocks, n)
-        d = pp.decorations[idx]
-        blocks[idx] = None
-        if rec(pos, idx + 1):
-            return True
-        if pos == n:
-            return False
-        step = -1 if d is MINUS else 1
-        limit = 1 if d is DOT else n - pos
-        end = pos + 1
-        while True:
-            lo, hi = sorted((g[pos], g[end - 1]))
-            blocks[idx] = (lo, hi)
-            if rec(end, idx + 1):
-                return True
-            if end - pos >= limit or end == n or g[end] - g[end - 1] != step:
-                blocks[idx] = None
-                return False
-            end += 1
-
-    return rec(0, 0)
+    return _grid_search(pp, g, None)
 
 
 def grid_member_peg(pp: PegPermutation, g: PegPermutation) -> bool:
     """True iff g is a decorated monotone inflation of pp.
 
-    As grid_member, but blocks for + elements must carry decorations in
-    {+, bullet}, blocks for - elements in {-, bullet}, and a surviving
-    bullet must stay a bullet.
+    Blocks for + elements must carry decorations in {+, bullet}, blocks for
+    - elements in {-, bullet}, and a surviving bullet must stay a bullet.
 
     >>> grid_member_peg(PegPermutation((1,), "+"), PegPermutation((1,), "."))
     True
     >>> grid_member_peg(PegPermutation((1, 2, 3), "+-+"), PegPermutation((1, 2), "--"))
     False
     """
-    m, n = len(pp), len(g)
-    gb, gd = g.base, g.decorations
-    blocks: list[tuple[int, int] | None] = [None] * m
-
-    def allowed(d: Decoration, gi: int) -> bool:
-        if d is DOT:
-            return gd[gi] is DOT
-        if d is PLUS:
-            return gd[gi] in (PLUS, DOT)
-        return gd[gi] in (MINUS, DOT)
-
-    def rec(pos: int, idx: int) -> bool:
-        if idx == m:
-            return pos == n and _blocks_consistent(pp, blocks, n)
-        d = pp.decorations[idx]
-        blocks[idx] = None
-        if rec(pos, idx + 1):
-            return True
-        if pos == n or not allowed(d, pos):
-            return False
-        step = -1 if d is MINUS else 1
-        limit = 1 if d is DOT else n - pos
-        end = pos + 1
-        while True:
-            lo, hi = sorted((gb[pos], gb[end - 1]))
-            blocks[idx] = (lo, hi)
-            if rec(end, idx + 1):
-                return True
-            if (end - pos >= limit or end == n
-                    or gb[end] - gb[end - 1] != step or not allowed(d, end)):
-                blocks[idx] = None
-                return False
-            end += 1
-
-    return rec(0, 0)
+    return _grid_search(pp, g.base, g.decorations)
 
 
 def _compositions(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:

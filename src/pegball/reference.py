@@ -106,11 +106,11 @@ STANDARD_BASES: dict[tuple[str, int], frozenset[str]] = {
     ("prd", 2): frozenset({"132", "3241", "3412", "4213", "4231"}),
 }
 
-# Basis of B_2 for reversals, by exhaustive ball comparison up to length 8
-# (no member exists at lengths 7 or 8).  Exactly three of the 31 members
-# avoid the entire M-set union: their pegs (3+ 2+ 1., 3+ 2. 1+, 3. 2+ 1+)
-# properly contain the basis peg 2+ 1+, whose only witness 456123 is too
-# long to fit inside them.
+# Basis of B_2 for reversals, by a sweep of the ball levels up to length 14,
+# past which no member can exist (basis.standard_basis_bound); no member is
+# longer than 6.  Exactly three of the 31 members avoid the entire M-set
+# union: their pegs (3+ 2+ 1., 3+ 2. 1+, 3. 2+ 1+) properly contain the
+# basis peg 2+ 1+, whose only witness 456123 is too long to fit inside them.
 RD_K2_BASIS: frozenset[str] = frozenset({
     "2413", "3142",
     "21453", "21534", "23154", "23541", "24351", "24531", "25341", "31254",

@@ -129,28 +129,34 @@ def _check_m_sets() -> CheckResult:
 
 def _check_standard_bases() -> CheckResult:
     fails = []
-    for (model_name, k), want in sorted(reference.STANDARD_BASES.items()):
-        got = standard_basis(_MODEL[model_name], k)
-        if got != {parse_perm(t) for t in want}:
-            fails.append(f"{model_name} k={k}: "
-                         f"{sorted(format_perm(p) for p in got)}")
-    got = standard_basis(Model.RD, 2)
-    if got != {parse_perm(t) for t in reference.RD_K2_BASIS}:
-        fails.append(f"rd k=2: {len(got)} members != frozen "
-                     f"{len(reference.RD_K2_BASIS)}")
+    frozen = dict(reference.STANDARD_BASES)
+    frozen["rd", 2] = reference.RD_K2_BASIS
+    m_unions = {}
+    for (model_name, k), texts in sorted(frozen.items()):
+        model = _MODEL[model_name]
+        got, want = standard_basis(model, k), {parse_perm(t) for t in texts}
+        if got != want:
+            fails.append(f"{model_name} k={k}: missing "
+                         f"{sorted(format_perm(p) for p in want - got)}, "
+                         f"extra {sorted(format_perm(p) for p in got - want)}")
+        # the paper's route cross-checks the sweep: every M-set witness lies
+        # outside B_k, so it contains a member of the basis
+        union = m_unions[model_name, k] = {
+            g for beta in peg_basis(model, k).members
+            for g in m_set(model, beta).members}
+        fails += [f"{model_name} k={k}: M-set witness {format_perm(g)} is in "
+                  f"B_k or avoids the basis" for g in sorted(union)
+                  if distance(model, g) <= k or avoids_all(got, g)]
     # three members avoid the whole M-set union; only the ball sweep
     # recovers them
-    m_union = {p for beta in peg_basis(Model.RD, 2).members
-               for p in m_set(Model.RD, beta).members}
     for text in sorted(reference.RD_K2_BASIS_SWEEP_ONLY):
-        p = parse_perm(text)
-        if p not in got:
+        if text not in reference.RD_K2_BASIS:
             fails.append(f"sweep member {text} missing from rd k=2 basis")
-        if not avoids_all(m_union, p):
+        if not avoids_all(m_unions["rd", 2], parse_perm(text)):
             fails.append(f"{text} unexpectedly contains an M-set witness")
     return _result("paper", "standard-bases", fails,
-                   f"{len(reference.STANDARD_BASES)} frozen bases plus the "
-                   f"31-member rd k=2 basis, exact")
+                   f"{len(frozen)} frozen bases, exact; every M-set witness "
+                   f"contains a member")
 
 
 def _check_fiber() -> CheckResult:
@@ -379,30 +385,18 @@ def _grid_member_exhaustive(pp: PegPermutation, g: Perm) -> bool:
 
 
 def _check_grid_member(rng: random.Random) -> CheckResult:
-    fails = []
-    pairs = 0
     small_pegs = [pp for m in (1, 2, 3) for pp in _all_pegs(m)]
     small_perms = [p for n in (1, 2, 3, 4, 5)
                    for p in permutations(range(1, n + 1))]
-    for pp in small_pegs:
-        for g in small_perms:
-            pairs += 1
-            if grid_member(pp, g) != _grid_member_exhaustive(pp, g):
-                fails.append(f"{format_peg(pp)} vs {format_perm(g)}")
-    for _ in range(150):
-        pp = _random_peg(rng, 4)
-        g = _random_perm(rng, rng.randint(4, 7))
-        pairs += 1
-        if grid_member(pp, g) != _grid_member_exhaustive(pp, g):
-            fails.append(f"{format_peg(pp)} vs {format_perm(g)}")
-    for _ in range(100):
-        pp = _random_peg(rng, rng.randint(1, 3))
-        g = _random_perm(rng, rng.randint(6, 7))
-        pairs += 1
-        if grid_member(pp, g) != _grid_member_exhaustive(pp, g):
-            fails.append(f"{format_peg(pp)} vs {format_perm(g)}")
+    pairs = [(pp, g) for pp in small_pegs for g in small_perms]
+    pairs += [(_random_peg(rng, 4), _random_perm(rng, rng.randint(4, 7)))
+              for _ in range(150)]
+    pairs += [(_random_peg(rng, rng.randint(1, 3)),
+               _random_perm(rng, rng.randint(6, 7))) for _ in range(100)]
+    fails = [f"{format_peg(pp)} vs {format_perm(g)}" for pp, g in pairs
+             if grid_member(pp, g) != _grid_member_exhaustive(pp, g)]
     return _result("properties", "grid-member", fails,
-                   f"{pairs} pairs: exhaustive |pp| <= 3 x |g| <= 5, "
+                   f"{len(pairs)} pairs: exhaustive |pp| <= 3 x |g| <= 5, "
                    "sampled up to |pp| = 4, |g| = 7")
 
 

@@ -1,16 +1,20 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from pegball import basis as basis_module
 from pegball import reference
 from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
                            is_peg_basis_member, m_set, peg_basis,
-                           peg_basis_bound, standard_basis)
+                           peg_basis_bound, standard_basis,
+                           standard_basis_bound)
 from pegball.distance import (Model, ResourceLimitError, ball, distance,
                               distance_peg)
 from pegball.peg import (ExceptionalKind, PegPermutation,
                          enumerate_clean_compact, format_peg,
-                         is_clean_compact, is_compact, parse_peg)
+                         is_clean_compact, is_compact, parse_peg,
+                         perm_strips)
 from pegball.perm import avoids_all, contains_pattern, parse_perm
 
 
@@ -144,6 +148,53 @@ def test_rd_k2_sweep_only_members():
         assert p in basis
         assert avoids_all(m_union, p)
         assert contains_pattern(parse_peg("2+ 1+").base, p)
+
+
+def test_standard_basis_needs_no_m_sets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard_basis must not use the peg route")
+
+    monkeypatch.setattr(basis_module, "m_set", refuse)
+    monkeypatch.setattr(basis_module, "peg_basis", refuse)
+    frozen = dict(reference.STANDARD_BASES)
+    frozen["rd", 2] = reference.RD_K2_BASIS
+    for (model, k), want in frozen.items():
+        assert standard_basis(Model(model), k) == {parse_perm(t) for t in want}
+
+
+def test_standard_basis_bound():
+    assert [standard_basis_bound(Model.RD, k) for k in range(4)] == \
+        [6, 10, 14, 20]
+    assert [standard_basis_bound(Model.PRD, k) for k in range(6)] == \
+        [6, 8, 10, 12, 14, 16]
+
+
+def test_standard_basis_strip_inequality():
+    # the bound's proof gives (s-1) + (M-2) <= ck for a member with s strips,
+    # the longest of length M >= 3; these bases satisfy it at every M
+    for model, c, ks in ((Model.RD, 2, (0, 1, 2)),
+                         (Model.PRD, 1, (0, 1, 2, 3))):
+        for k in ks:
+            for p in standard_basis(model, k):
+                runs = [end - start + 1 for start, end, _ in perm_strips(p)]
+                s, m = len(runs), max(runs)
+                assert (s - 1) + (m - 2) <= c * k, (model, k, p)
+
+
+def test_prd_k4_standard_basis():
+    got = standard_basis(Model.PRD, 4)
+    assert len(got) == 121
+    assert Counter(map(len, got)) == {5: 20, 6: 95, 7: 6}
+
+
+def test_standard_basis_length_cap_and_k_limit():
+    full = standard_basis(Model.RD, 2)
+    assert standard_basis(Model.RD, 2, 5) == {p for p in full if len(p) <= 5}
+    assert standard_basis(Model.RD, 2, 1) == set()
+    with pytest.raises(ResourceLimitError):
+        standard_basis(Model.RD, 4)
+    with pytest.raises(ResourceLimitError):
+        standard_basis(Model.PRD, 2, k_limit=1)
 
 
 def test_standard_basis_members_are_minimal_excluded():

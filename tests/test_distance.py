@@ -1,4 +1,6 @@
 import itertools
+import os
+import stat
 import sys
 from collections import Counter
 
@@ -149,6 +151,16 @@ def test_table_save_load_round_trip(tmp_path):
     u = DistanceTable.load(path)
     assert u.model is t.model and u.kind is t.kind and u.n == t.n
     assert _read(u) == _read(t) == _standard_table(Model.PRD, 3)
+
+
+def test_table_save_honours_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        build_table(Model.RD, 3).save(tmp_path / "t.dist")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "t.dist").stat().st_mode) == 0o644
+    assert [f.name for f in tmp_path.iterdir()] == ["t.dist"]
 
 
 def test_table_load_rejects_corrupt(tmp_path):

@@ -55,3 +55,17 @@ def test_property_suite_seed_stability():
     a = [(r.name, r.passed) for r in property_suite(seed=7)]
     b = [(r.name, r.passed) for r in property_suite(seed=7)]
     assert a == b
+
+
+def test_standard_bases_m_set_cross_check(monkeypatch):
+    # a sweep that lost 2143, with a frozen value that agrees, is still
+    # caught: 2143 is the M-set witness of the basis peg 1- 2-
+    sweep = verify.standard_basis
+    monkeypatch.setattr(verify, "standard_basis",
+                        lambda model, k: sweep(model, k) - {(2, 1, 4, 3)})
+    monkeypatch.setitem(reference.STANDARD_BASES, ("rd", 1),
+                        frozenset({"231", "312"}))
+    result = verify._check_standard_bases()
+    assert not result.passed
+    assert result.detail == ("rd k=1: M-set witness 2 1 4 3 is in B_k or "
+                             "avoids the basis")
