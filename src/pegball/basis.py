@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import (Model, ResourceLimitError, _frontier_bfs,
-                       _peg_component, distance_bounded, distance_peg)
+from .distance import (Model, ResourceLimitError, _frontier_bfs, _moves,
+                       _peg_component, _peg_key, distance_bounded,
+                       distance_peg)
 from .inflation import a_set_stream
 from .peg import (DOT, ExceptionalKind, PegPermutation, _linked,
                   clean_compact_proper_patterns, enumerate_clean_compact,
                   exceptional, is_clean_compact, peg_sort_key, proper_patterns)
-from .perm import Perm, contains_pattern
+from .perm import Perm, contains_pattern, identity
 
 __all__ = [
     "PegBasis",
@@ -101,8 +102,7 @@ def _deletion_outside(model: Model, k: int, pp: PegPermutation) -> bool:
         if any(_linked(b[j], d[j], b[j + 1], d[j + 1]) for j in range(n - 2)):
             continue
         bullets = frozenset(x for x, c in zip(b, d) if c is DOT)
-        state = (b, tuple(c.value for c in d))
-        if _peg_component(model, n - 1, bullets)[state] > k:
+        if _peg_component(model, n - 1, bullets)[_peg_key(b, d)] > k:
             return True
     return False
 
@@ -300,7 +300,7 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     found: set[Perm] = set()
     prev_slots, level = {(): 1}, {(1,)}  # B_k(0) with its slot mask, B_k(1)
     for n in range(2, sweep_to + 1):
-        cur = _frontier_bfs(model, n, max_depth=k)
+        cur = _frontier_bfs([identity(n)], _moves(model, n), k)
         slots: dict[Perm, int] = {}
         for p in level:
             slots[p] = inside = sum(1 << pos for pos in range(n)

@@ -1,18 +1,21 @@
 """Exact reversal / prefix-reversal distances for standard and peg permutations.
 
-Three engines compute them:
+One BFS engine serves both state kinds.  It is level-synchronous: each move
+is a callable on states, and a layer maps the whole frontier through every
+move with map and filterfalse.
 
-- level-synchronous frontier BFS over S_n, memoized per model and length as
-  one tuple-keyed dict.  Each move is an itemgetter over positions, so a
-  layer maps the whole frontier through every move at C speed.  Once the
-  frontier outgrows half the unvisited states, a full-table build turns
-  bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited permutation
-  joins the layer when some move maps it onto the frontier;
-- per-component BFS for peg permutations — bullet values are invariant under
-  oriented reversals, so the state space splits by (length, bullet-value set)
-  and each component holds a single goal state;
-- bounded iterative-deepening A* with breakpoint heuristics for one-off
-  distances of permutations too long for tables.
+- Standard states are tuples and each move is an itemgetter over positions.
+  The tables over S_n are memoized per model and length as one tuple-keyed
+  dict.  Once the frontier outgrows half the unvisited states, a full-table
+  build turns bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited
+  permutation joins the layer when some move maps it onto the frontier.
+- Peg states are bytes, one byte per entry, so a move is a few C-level
+  slices and a translate.  Bullet values are invariant under oriented
+  reversals, so the peg state space splits by (length, bullet-value set)
+  and each component holds a single goal state.
+
+Bounded iterative-deepening A* with breakpoint heuristics gives one-off
+distances of permutations too long for tables.
 
 A cache directory only persists the memoized tables: its file holds the
 distances in rank order (lexicographic on permutations), seeds the dict on
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, filterfalse, permutations, product, repeat
 from math import factorial
-from operator import itemgetter, not_
+from operator import add, itemgetter, not_
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .peg import _FLIP, DOT, MINUS, Decoration, PegPermutation, strips
+from .peg import _FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation, strips
 from .perm import Perm, check_permutation, identity
 
 __all__ = [
@@ -105,86 +108,84 @@ def _standard_neighbors(model: Model, p: Perm) -> Iterator[Perm]:
             yield p[:j][::-1] + p[j:]
 
 
-# peg states carry str decorations, which hash faster than Decoration members
-_FLIPC = {d.value: f.value for d, f in _FLIP.items()}
-
-PegState = tuple[Perm, tuple[str, ...]]
-
-
-def _peg_neighbors(model: Model, state: PegState) -> Iterator[PegState]:
-    base, decs = state
-    n = len(base)
-    if model is Model.RD:
-        for i in range(n):
-            for j in range(i, n):
-                yield (base[:i] + base[i:j + 1][::-1] + base[j + 1:],
-                       decs[:i] + tuple(_FLIPC[d] for d in decs[i:j + 1][::-1])
-                       + decs[j + 1:])
-    else:
-        for j in range(1, n + 1):
-            yield (base[:j][::-1] + base[j:],
-                   tuple(_FLIPC[d] for d in decs[:j][::-1]) + decs[j:])
+def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
+    """The blocks [i, j) a move may reverse: any block for reversals, a
+    prefix for prefix reversals, of at least shortest entries."""
+    starts = range(n) if model is Model.RD else (0,)
+    return [(i, j) for i in starts for j in range(i + shortest, n + 1)]
 
 
-def _to_state(pp: PegPermutation) -> PegState:
-    return pp.base, tuple(d.value for d in pp.decorations)
+def _moves(model: Model, n: int) -> list[itemgetter]:
+    """Each move as an itemgetter: move(p) is p with one block reversed."""
+    return [itemgetter(*range(i), *range(j - 1, i - 1, -1), *range(j, n))
+            for i, j in _blocks(model, n, 2)]
 
 
-def _from_state(state: PegState) -> PegPermutation:
-    return PegPermutation(state[0], tuple(Decoration(d) for d in state[1]))
+# A peg state is the bytes key 3*value + code per entry; the decoration
+# codes are the positions in _CODES.  Only _peg_key, _peg_of_key and the
+# moves below read or write keys.
+_CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
+_ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
+_KEY_BYTES = range(3, 3 * HARD_LIMIT_PEG + 3)
+_FLIP_BYTES = bytes.maketrans(
+    bytes(_KEY_BYTES),
+    bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
+
+
+def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
+    """The peg state of base decorated by decorations (members or chars)."""
+    return bytes(map(add, map((3).__mul__, base),
+                     "".join(decorations).encode().translate(_ENCODE)))
+
+
+def _peg_of_key(key: bytes) -> PegPermutation:
+    return PegPermutation(tuple(b // 3 for b in key),
+                          tuple(_CODES[b % 3] for b in key))
+
+
+def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
+    """Each oriented move on peg keys: reverse a block and flip its signs."""
+    def oriented(i: int, j: int) -> Callable[[bytes], bytes]:
+        return lambda s: s[:i] + s[i:j][::-1].translate(_FLIP_BYTES) + s[j:]
+
+    return [oriented(i, j) for i, j in _blocks(model, n, 1)]
 
 
 # ---------------------------------------------------------------------------
 # BFS engines
 
 _STANDARD_TABLES: dict[tuple[Model, int], dict[Perm, int]] = {}
-_PEG_COMPONENTS: dict[tuple[Model, int, frozenset[int]], dict[PegState, int]] = {}
+_PEG_COMPONENTS: dict[tuple[Model, int, frozenset[int]], dict[bytes, int]] = {}
 # (model, n, directory) whose file get_table has read into or written from
 # _STANDARD_TABLES; distance() skips the filesystem for these
 _PERSISTED: set[tuple[Model, int, str | Path]] = set()
 
 
-def _standard_table(model: Model, n: int) -> dict[Perm, int]:
-    key = (model, n)
-    table = _STANDARD_TABLES.get(key)
-    if table is None:
-        table = _frontier_bfs(model, n)
-        _STANDARD_TABLES[key] = table
-    return table
+def _frontier_bfs(starts: Iterable, moves: list[Callable],
+                  max_depth: int | None = None, *,
+                  space: tuple[int, Callable[[], Iterable]] | None = None
+                  ) -> dict:
+    """Distances from the nearest of starts, out to max_depth if given.
 
-
-def _moves(model: Model, n: int) -> list[itemgetter]:
-    """Each move as an itemgetter: move(p) is p with one block reversed."""
-    if model is Model.RD:
-        spans = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        spans = [(0, j) for j in range(1, n)]
-    return [itemgetter(*range(i), *range(j, i - 1, -1), *range(j + 1, n))
-            for i, j in spans]
-
-
-def _frontier_bfs(model: Model, n: int,
-                  max_depth: int | None = None) -> dict[Perm, int]:
-    """Distances from the identity of length n, out to max_depth if given.
-
-    A bottom-up layer is exact: a neighbour of an unvisited state lies at
-    most one layer closer, so it is in the table only if it is on the
-    frontier.  The unvisited states are kept in a list and selected with
-    compress, so the found tuples themselves become the table's keys.
+    Every move must be a bijection whose inverse is also a move.  space,
+    for a caller that can list the whole state space, is (size, lister);
+    once the frontier outgrows half the unvisited states, the search turns
+    bottom-up.  A bottom-up layer is exact: a neighbour of an unvisited
+    state lies at most one layer closer, so it is in the table only if it
+    is on the frontier.  The unvisited states are kept in a list and
+    selected with compress, so the listed states themselves become keys.
     """
-    start = identity(n)
-    dist = {start: 0}
+    dist = dict.fromkeys(starts, 0)
     seen = dist.__contains__
-    moves = _moves(model, n)
-    frontier = [start]
+    frontier = list(dist)
     unvisited = None
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
-        if (unvisited is None and max_depth is None
-                and 2 * len(frontier) > factorial(n) - len(dist)):
-            unvisited = list(filterfalse(seen, permutations(start)))
-        layer: list[Perm] = []
+        if (unvisited is None and space is not None
+                and 2 * len(frontier) > space[0] - len(dist)):
+            unvisited = list(filterfalse(seen, space[1]()))
+        layer: list = []
         if unvisited is None:
             for move in moves:
                 # a move is a bijection, so one move yields no duplicates
@@ -201,36 +202,33 @@ def _frontier_bfs(model: Model, n: int,
     return dist
 
 
-def _bfs(starts, neighbors, max_depth: int | None = None) -> dict:
-    """Distances from the nearest of starts, out to max_depth if given."""
-    dist = dict.fromkeys(starts, 0)
-    frontier = list(dist)
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        new: list = []
-        for state in frontier:
-            for nb in neighbors(state):
-                if nb not in dist:
-                    dist[nb] = depth
-                    new.append(nb)
-        frontier = new
-    return dist
+def _standard_search(model: Model, start: Perm) -> dict[Perm, int]:
+    """Distances from start to every permutation of its length."""
+    n = len(start)
+    return _frontier_bfs([start], _moves(model, n),
+                         space=(factorial(n), lambda: permutations(start)))
 
 
-def _goal_state(n: int, bullets: frozenset[int]) -> PegState:
-    base = identity(n)
-    decs = tuple("." if v in bullets else "+" for v in base)
-    return base, decs
+def _standard_table(model: Model, n: int) -> dict[Perm, int]:
+    key = (model, n)
+    table = _STANDARD_TABLES.get(key)
+    if table is None:
+        table = _standard_search(model, identity(n))
+        _STANDARD_TABLES[key] = table
+    return table
+
+
+def _goal_key(n: int, bullets: frozenset[int]) -> bytes:
+    return _peg_key(identity(n), ["." if v in bullets else "+"
+                                  for v in range(1, n + 1)])
 
 
 def _peg_component(model: Model, n: int,
-                   bullets: frozenset[int]) -> dict[PegState, int]:
+                   bullets: frozenset[int]) -> dict[bytes, int]:
     key = (model, n, bullets)
     comp = _PEG_COMPONENTS.get(key)
     if comp is None:
-        comp = _bfs([_goal_state(n, bullets)],
-                    lambda s: _peg_neighbors(model, s))
+        comp = _frontier_bfs([_goal_key(n, bullets)], _peg_moves(model, n))
         _PEG_COMPONENTS[key] = comp
     return comp
 
@@ -285,31 +283,15 @@ def distance_peg(model: Model, pp: PegPermutation, *,
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
     comp = _peg_component(model, n, pp.bullet_values())
-    return comp[_to_state(pp)]
+    return comp[_peg_key(pp.base, pp.decorations)]
 
 
 def pair_distance(model: Model, p: Perm, q: Perm) -> int:
     """BFS distance between two permutations of the same length."""
-    p, q = tuple(p), tuple(q)
+    p, q = check_permutation(tuple(p)), check_permutation(tuple(q))
     if len(p) != len(q):
-        raise ValueError("length mismatch")
-    if p == q:
-        return 0
-    dist = {p: 0}
-    frontier = [p]
-    depth = 0
-    while frontier:
-        depth += 1
-        new = []
-        for state in frontier:
-            for nb in _standard_neighbors(model, state):
-                if nb == q:
-                    return depth
-                if nb not in dist:
-                    dist[nb] = depth
-                    new.append(nb)
-        frontier = new
-    raise RuntimeError("unreachable state")  # moves generate the whole group
+        raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
+    return _standard_search(model, p)[q]
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +438,13 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
     if kind is TableKind.STANDARD:
         _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
                          HARD_LIMIT_STANDARD, "permutation")
-        return set(_frontier_bfs(model, n, max_depth=k))
+        return set(_frontier_bfs([identity(n)], _moves(model, n), k))
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
-    goals = [_goal_state(n, frozenset(v for v in range(1, n + 1)
-                                      if mask >> (v - 1) & 1))
+    goals = [_goal_key(n, frozenset(v for v in range(1, n + 1)
+                                    if mask >> (v - 1) & 1))
              for mask in range(2 ** n)]
-    near = _bfs(goals, lambda s: _peg_neighbors(model, s), max_depth=k)
-    return {_from_state(s) for s in near}
+    return set(map(_peg_of_key, _frontier_bfs(goals, _peg_moves(model, n), k)))
 
 
 @dataclass(frozen=True)
@@ -547,7 +528,8 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
         comps = [_peg_component(model, n, frozenset(
                      v for i, v in enumerate(base) if mask >> i & 1))
                  for mask in range(2 ** n)]
-        data += bytes(comps[mask][base, decs] for decs, mask in decorations)
+        data += bytes(comps[mask][_peg_key(base, decs)]
+                      for decs, mask in decorations)
     return DistanceTable(model, kind, n, bytes(data))
 
 

@@ -8,13 +8,16 @@ import pytest
 
 from pegball import reference
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, _bfs, _frontier_bfs,
-                              _standard_neighbors, _standard_table, ball,
-                              breakpoints, build_table, cache_path,
-                              clear_memory_cache, distance, distance_bounded,
-                              distance_peg, distance_peg_via_inflation,
-                              get_table, lower_bound, pair_distance)
-from pegball.peg import PegPermutation, format_peg, parse_peg
+                              TableKind, _frontier_bfs, _moves,
+                              _peg_component, _peg_of_key,
+                              _standard_neighbors, _standard_search,
+                              _standard_table, ball, breakpoints, build_table,
+                              cache_path, clear_memory_cache, distance,
+                              distance_bounded, distance_peg,
+                              distance_peg_via_inflation, get_table,
+                              lower_bound, pair_distance)
+from pegball.peg import (PegPermutation, format_peg, oriented_prefix_reversal,
+                         oriented_reversal, parse_peg)
 from pegball.perm import identity, parse_perm
 
 
@@ -52,6 +55,10 @@ def test_pair_distance():
     assert pair_distance(Model.PRD, (2, 1, 3), (1, 2, 3)) == 1
     with pytest.raises(ValueError):
         pair_distance(Model.RD, (1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        pair_distance(Model.RD, (1, 1, 2), (1, 2, 1))
+    with pytest.raises(ValueError):
+        pair_distance(Model.RD, (1, 2, 3), (1, 2, 4))
 
 
 def test_breakpoints():
@@ -90,11 +97,49 @@ def test_ball():
                 assert len(ball(Model(model), k, n)) == want
 
 
+def _assert_bellman(dist, states, goal, neighbours):
+    """dist holds exactly states, 0 at goal and 1 + the least neighbour
+    distance elsewhere: the unique solution, so the exact distances."""
+    assert dist.keys() == set(states)
+    assert dist[goal] == 0
+    for s in states:
+        if s != goal:
+            assert dist[s] == 1 + min(dist[t] for t in neighbours(s)), s
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_frontier_bfs_matches_per_state_bfs(model):
     for n in range(9):
-        want = _bfs([identity(n)], lambda p: _standard_neighbors(model, p))
-        assert _frontier_bfs(model, n) == want, n
+        table = _standard_search(model, identity(n))  # turns bottom-up
+        _assert_bellman(table, itertools.permutations(identity(n)),
+                        identity(n), lambda p: _standard_neighbors(model, p))
+        assert _frontier_bfs([identity(n)], _moves(model, n)) == table, n
+
+
+def _oriented_neighbours(model, pp):
+    n = len(pp)
+    if model is Model.RD:
+        return [oriented_reversal(pp, i, j)
+                for i in range(1, n + 1) for j in range(i, n + 1)]
+    return [oriented_prefix_reversal(pp, j) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_peg_components_satisfy_bellman(model):
+    for n in range(5):
+        for mask in range(2 ** n):
+            bullets = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+            pegs = [PegPermutation(base, decs)
+                    for base in itertools.permutations(identity(n))
+                    for decs in itertools.product("+-.", repeat=n)
+                    if {v for v, d in zip(base, decs) if d == "."} == bullets]
+            comp = _peg_component(model, n, bullets)
+            dist = {_peg_of_key(key): d for key, d in comp.items()}
+            assert len(dist) == len(comp)
+            goal = PegPermutation(identity(n), ["." if v in bullets else "+"
+                                                for v in identity(n)])
+            _assert_bellman(dist, pegs, goal,
+                            lambda pp: _oriented_neighbours(model, pp))
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -127,6 +172,15 @@ def test_peg_ball_is_distance_down_set(model):
         for k in range(4):
             assert ball(model, k, n, TableKind.PEG) == \
                 {pp for pp in pegs if distance_peg(model, pp) <= k}, (n, k)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_peg_table_order(model):
+    for n in range(5):
+        want = bytes(distance_peg(model, PegPermutation(b, d))
+                     for b in itertools.permutations(identity(n))
+                     for d in itertools.product("+-.", repeat=n))
+        assert build_table(model, n, TableKind.PEG).data == want, n
 
 
 def _read(table):
@@ -232,7 +286,7 @@ def test_distance_with_cache_dir(tmp_path):
 @pytest.mark.parametrize("model", list(Model))
 def test_distance_with_cache_dir_matches_bfs(model, tmp_path):
     for n in range(8):
-        want = _frontier_bfs(model, n)
+        want = _standard_search(model, identity(n))
         # the first pass writes the file, the second reads it back
         for _ in range(2):
             clear_memory_cache()
