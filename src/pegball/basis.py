@@ -22,7 +22,7 @@ from .distance import (Model, ResourceLimitError, _frontier_bfs, _moves,
                        _peg_component, _peg_key, distance_bounded,
                        distance_peg)
 from .inflation import a_set_stream
-from .peg import (DOT, ExceptionalKind, PegPermutation, _linked,
+from .peg import (ExceptionalKind, PegPermutation, _linked,
                   clean_compact_proper_patterns, enumerate_clean_compact,
                   exceptional, is_clean_compact, peg_sort_key, proper_patterns)
 from .perm import Perm, contains_pattern, identity
@@ -101,8 +101,8 @@ def _deletion_outside(model: Model, k: int, pp: PegPermutation) -> bool:
         d = decs[:i] + decs[i + 1:]
         if any(_linked(b[j], d[j], b[j + 1], d[j + 1]) for j in range(n - 2)):
             continue
-        bullets = frozenset(x for x, c in zip(b, d) if c is DOT)
-        if _peg_component(model, n - 1, bullets)[_peg_key(b, d)] > k:
+        key = _peg_key(b, d)
+        if _peg_component(model, key)[key] > k:
             return True
     return False
 

@@ -21,6 +21,11 @@ A cache directory only persists the memoized tables: its file holds the
 distances in rank order (lexicographic on permutations), seeds the dict on
 first use and is written from the dict when missing or corrupt.  Reads
 always go to the dict.
+
+A warm read is one memo probe and one table read: distance() memoizes its
+table per (model, n, cache_dir), where a hit is exactly a valid permutation,
+and peg components are memoized by their goal, the sorted unsigned state.
+A miss runs every check, and only a miss reads PEGBALL_CACHE.
 """
 
 from __future__ import annotations
@@ -127,14 +132,19 @@ def _moves(model: Model, n: int) -> list[itemgetter]:
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 _ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
 _KEY_BYTES = range(3, 3 * HARD_LIMIT_PEG + 3)
+_TRIPLE = bytes.maketrans(bytes(range(HARD_LIMIT_PEG + 1)),
+                          bytes(range(0, 3 * HARD_LIMIT_PEG + 3, 3)))
 _FLIP_BYTES = bytes.maketrans(
     bytes(_KEY_BYTES),
     bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
+# a state with its - codes made +, sorted, is the goal of its component
+_UNSIGN = bytes.maketrans(bytes(range(4, 3 * HARD_LIMIT_PEG + 3, 3)),
+                          bytes(range(3, 3 * HARD_LIMIT_PEG + 3, 3)))
 
 
 def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
     """The peg state of base decorated by decorations (members or chars)."""
-    return bytes(map(add, map((3).__mul__, base),
+    return bytes(map(add, bytes(base).translate(_TRIPLE),
                      "".join(decorations).encode().translate(_ENCODE)))
 
 
@@ -155,10 +165,11 @@ def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
 # BFS engines
 
 _STANDARD_TABLES: dict[tuple[Model, int], dict[Perm, int]] = {}
-_PEG_COMPONENTS: dict[tuple[Model, int, frozenset[int]], dict[bytes, int]] = {}
-# (model, n, directory) whose file get_table has read into or written from
-# _STANDARD_TABLES; distance() skips the filesystem for these
-_PERSISTED: set[tuple[Model, int, str | Path]] = set()
+# (model, goal state) -> the peg component holding that goal
+_PEG_COMPONENTS: dict[tuple[Model, bytes], dict[bytes, int]] = {}
+# (model, n, cache_dir) -> the table distance() reads, persisted to the
+# directory (cache_dir, else PEGBALL_CACHE when made) if one was set
+_READS: dict[tuple[Model, int, str | Path | None], dict[Perm, int]] = {}
 
 
 def _frontier_bfs(starts: Iterable, moves: list[Callable],
@@ -223,20 +234,20 @@ def _goal_key(n: int, bullets: frozenset[int]) -> bytes:
                                   for v in range(1, n + 1)])
 
 
-def _peg_component(model: Model, n: int,
-                   bullets: frozenset[int]) -> dict[bytes, int]:
-    key = (model, n, bullets)
-    comp = _PEG_COMPONENTS.get(key)
+def _peg_component(model: Model, key: bytes) -> dict[bytes, int]:
+    """The component holding the peg state key, memoized by its goal."""
+    goal = bytes(sorted(key.translate(_UNSIGN)))
+    comp = _PEG_COMPONENTS.get((model, goal))
     if comp is None:
-        comp = _frontier_bfs([_goal_key(n, bullets)], _peg_moves(model, n))
-        _PEG_COMPONENTS[key] = comp
+        comp = _frontier_bfs([goal], _peg_moves(model, len(goal)))
+        _PEG_COMPONENTS[model, goal] = comp
     return comp
 
 
 def clear_memory_cache() -> None:
     _STANDARD_TABLES.clear()
     _PEG_COMPONENTS.clear()
-    _PERSISTED.clear()
+    _READS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +258,8 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     """Exact distance of p from the identity of its length.
 
     Moves are involutions, so this also equals the sorting distance of p.
+    The table persists to cache_dir, else to PEGBALL_CACHE as read at the
+    first call per (model, len(p)) since import or clear_memory_cache().
 
     >>> distance(Model.RD, (3, 4, 1, 2))
     2
@@ -254,13 +267,22 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     3
     """
     p = tuple(p)
+    n = len(p)
+    try:
+        d = _READS.get((model, n, cache_dir), {}).get(p)
+    except TypeError:  # an unhashable entry, which check_permutation rejects
+        d = None
+    if d is not None and n <= (DEFAULT_LIMIT_STANDARD if limit is None
+                               else min(limit, HARD_LIMIT_STANDARD)):
+        return d
     check_permutation(p)
-    _effective_limit(len(p), limit, DEFAULT_LIMIT_STANDARD,
-                     HARD_LIMIT_STANDARD, "permutation")
+    _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD, HARD_LIMIT_STANDARD,
+                     "permutation")
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
-    if directory and (model, len(p), directory) not in _PERSISTED:
-        get_table(model, len(p), cache_dir=directory, limit=limit)
-    return _standard_table(model, len(p))[p]
+    if directory and (model, n, directory) not in _READS:
+        get_table(model, n, cache_dir=directory, limit=limit)
+    table = _READS[model, n, cache_dir] = _standard_table(model, n)
+    return table[p]
 
 
 def distance_peg(model: Model, pp: PegPermutation, *,
@@ -279,11 +301,12 @@ def distance_peg(model: Model, pp: PegPermutation, *,
     >>> distance_peg(Model.PRD, parse_peg("3. 1- 2."))
     3
     """
-    n = len(pp)
-    _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
-                     "peg permutation")
-    comp = _peg_component(model, n, pp.bullet_values())
-    return comp[_peg_key(pp.base, pp.decorations)]
+    n = len(pp.base)
+    if n > (DEFAULT_LIMIT_PEG if limit is None else min(limit, HARD_LIMIT_PEG)):
+        _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
+                         "peg permutation")
+    key = _peg_key(pp.base, pp.decorations)
+    return _peg_component(model, key)[key]
 
 
 def pair_distance(model: Model, p: Perm, q: Perm) -> int:
@@ -525,8 +548,8 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
                    for decs in product("+-.", repeat=n)]
     data = bytearray()
     for base in permutations(identity(n)):
-        comps = [_peg_component(model, n, frozenset(
-                     v for i, v in enumerate(base) if mask >> i & 1))
+        comps = [_peg_component(model, _peg_key(base, [
+                     "." if mask >> i & 1 else "+" for i in range(n)]))
                  for mask in range(2 ** n)]
         data += bytes(comps[mask][_peg_key(base, decs)]
                       for decs, mask in decorations)
@@ -543,12 +566,13 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
               limit: int | None = None) -> DistanceTable:
     """The table, read from or written to the cache directory if one is set.
 
-    The directory comes from the argument or the PEGBALL_CACHE environment
-    variable.  A valid standard file seeds the in-memory table that
-    distance() reads, unless that table is already in memory; without one,
-    the file is written from the in-memory table.  Either way distance()
-    then skips the directory for this (model, n).  A corrupt cache file is
-    rebuilt, not trusted.
+    The directory comes from the argument or PEGBALL_CACHE, read on every
+    call here but by distance() only at its first call per (model, n) since
+    import or clear_memory_cache().  A valid standard file seeds the
+    in-memory table that distance() reads, unless that table is already in
+    memory; without one, the file is written from the in-memory table.
+    Either way distance() then skips the directory for this (model, n).  A
+    corrupt cache file is rebuilt, not trusted.
     """
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
     if not directory:
@@ -566,5 +590,5 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
         _STANDARD_TABLES[model, n] = dict(
             zip(permutations(identity(n)), table.data))
     if kind is TableKind.STANDARD:
-        _PERSISTED.add((model, n, directory))
+        _READS[model, n, directory] = _standard_table(model, n)
     return table

@@ -5,6 +5,7 @@ the balls B_k, built by the inductive inflation constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .distance import Model, distance_peg
 from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation,
@@ -163,7 +164,10 @@ def prd_generating_set(k: int) -> GeneratingSet:
     return GeneratingSet(Model.PRD, k, frozenset(current))
 
 
+@cache
 def generating_set(model: Model, k: int) -> GeneratingSet:
+    """Built once per (model, k) and shared, being frozen; a bad k raises
+    on every call."""
     if model is Model.RD:
         return rd_generating_set(k)
     if k == 0:

@@ -1,14 +1,16 @@
 import itertools
 import os
+import re
 import stat
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from pegball import reference
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs, _moves,
+                              TableKind, _frontier_bfs, _goal_key, _moves,
                               _peg_component, _peg_of_key,
                               _standard_neighbors, _standard_search,
                               _standard_table, ball, breakpoints, build_table,
@@ -133,7 +135,7 @@ def test_peg_components_satisfy_bellman(model):
                     for base in itertools.permutations(identity(n))
                     for decs in itertools.product("+-.", repeat=n)
                     if {v for v, d in zip(base, decs) if d == "."} == bullets]
-            comp = _peg_component(model, n, bullets)
+            comp = _peg_component(model, _goal_key(n, bullets))
             dist = {_peg_of_key(key): d for key, d in comp.items()}
             assert len(dist) == len(comp)
             goal = PegPermutation(identity(n), ["." if v in bullets else "+"
@@ -323,6 +325,95 @@ def test_distance_env_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("PEGBALL_CACHE", str(tmp_path))
     assert distance(Model.RD, (3, 4, 1, 2)) == 2
     assert cache_path(tmp_path, Model.RD, TableKind.STANDARD, 4).exists()
+
+
+def test_warm_distance_error_contract(monkeypatch):
+    assert distance(Model.RD, (1, 2, 3, 4)) == 0  # warms n = 4
+    for bad in ((1, 1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 3)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"not a permutation of 1..4: {bad!r}")):
+            distance(Model.RD, bad)
+    assert distance(Model.RD, (1,)) == 0
+    with pytest.raises(ValueError):
+        distance(Model.RD, ([1],))
+    with pytest.raises(ResourceLimitError):
+        distance(Model.RD, (2, 1, 3, 4), limit=3)
+    # a table warmed above the default limit does not lift it; an n = 10
+    # table would take gigabytes, so the default is lowered to show this
+    monkeypatch.setattr(sys.modules[distance.__module__],
+                        "DEFAULT_LIMIT_STANDARD", 4)
+    assert distance(Model.RD, (2, 1, 3, 4, 5), limit=5) == 1
+    with pytest.raises(ResourceLimitError):
+        distance(Model.RD, (2, 1, 3, 4, 5))
+    assert distance(Model.RD, (2, 1, 3, 4, 5), limit=5) == 1
+
+
+def test_warm_distance_takes_any_sequence():
+    p = (3, 1, 4, 2, 5)
+    want = distance(Model.PRD, p)
+    assert distance(Model.PRD, list(p)) == want
+    assert distance(Model.PRD, iter(p)) == want
+    assert distance(Model.PRD, (x for x in p)) == want
+    with pytest.raises(ValueError):
+        distance(Model.PRD, (x for x in (3, 1, 4, 2, 2)))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_warm_distance_peg_matches_table(model):
+    clear_memory_cache()
+    for n in range(5):
+        table = build_table(model, n, TableKind.PEG)  # warms every component
+        got = bytes(distance_peg(model, PegPermutation(b, d))
+                    for b in itertools.permutations(identity(n))
+                    for d in itertools.product("+-.", repeat=n))
+        assert got == table.data, n
+
+
+def test_warm_reads_skip_checks_and_environment(monkeypatch):
+    module = sys.modules[distance.__module__]
+    distance(Model.PRD, (1, 2, 3, 4, 5))
+    want = distance_peg(Model.RD, parse_peg("2. 1- 3+"))  # warms bullet set {2}
+
+    class Refused(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    monkeypatch.setattr(module, "check_permutation", refuse)
+    monkeypatch.setattr(module, "os",
+                        SimpleNamespace(environ=SimpleNamespace(get=refuse)))
+    monkeypatch.setattr(module, "_effective_limit", refuse)
+    monkeypatch.setattr(module, "_frontier_bfs", refuse)
+    assert distance(Model.PRD, (3, 1, 4, 2, 5)) == 4
+    assert distance_peg(Model.RD, parse_peg("2. 1- 3+")) == want
+    assert distance_peg(Model.RD, parse_peg("3+ 1- 2.")) == 2
+    with pytest.raises(Refused):
+        distance(Model.PRD, (3, 1, 4, 2, 6))
+
+
+def test_clear_memory_cache_clears_read_memos(tmp_path, monkeypatch):
+    module = sys.modules[distance.__module__]
+    clear_memory_cache()
+    assert distance(Model.RD, (2, 1, 3)) == 1
+    assert distance_peg(Model.RD, parse_peg("2+ 1+")) == 3
+    # the variable is read at the first call per (model, n) only
+    monkeypatch.setenv("PEGBALL_CACHE", str(tmp_path))
+    assert distance(Model.RD, (2, 1, 3)) == 1
+    assert not any(tmp_path.iterdir())
+    clear_memory_cache()
+    searches = []
+    real_bfs = module._frontier_bfs
+
+    def counting_bfs(*args, **kwargs):
+        searches.append(args)
+        return real_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_frontier_bfs", counting_bfs)
+    assert distance(Model.RD, (2, 1, 3)) == 1
+    assert cache_path(tmp_path, Model.RD, TableKind.STANDARD, 3).exists()
+    assert distance_peg(Model.RD, parse_peg("2+ 1+")) == 3
+    assert len(searches) == 2  # the standard table and the peg component
 
 
 def test_distance_peg_via_inflation():

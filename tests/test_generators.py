@@ -59,6 +59,21 @@ def test_bad_k():
         prd_generating_set(0)
 
 
+def test_generating_set_memoized():
+    for k in range(4):
+        gs = generating_set(Model.RD, k)
+        assert generating_set(Model.RD, k) is gs
+        assert gs.sorted_members() == rd_generating_set(k).sorted_members()
+    for k in range(1, 4):
+        gs = generating_set(Model.PRD, k)
+        assert generating_set(Model.PRD, k) is gs
+        assert gs.sorted_members() == prd_generating_set(k).sorted_members()
+    for _ in range(2):  # an invalid k raises on every call
+        for model in Model:
+            with pytest.raises(ValueError):
+                generating_set(model, -1)
+
+
 def test_rd_inflate_step():
     assert str(rd_inflate_step(parse_peg("1+"), (1, 1))) == "1+ 2- 3+"
     assert str(rd_inflate_step(parse_peg("1+ 2- 3+"), (1, 3))) \
