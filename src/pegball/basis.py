@@ -3,29 +3,33 @@
 A clean compact peg permutation is a basis member of B-hat_k iff its own
 distance exceeds k while every proper pattern in scope stays within k; the
 scope is the full peg pattern order for reversals and the clean compact
-ones for prefix reversals (see is_peg_basis_member).  Length bounds make
-the search finite: 2k+1 for reversals (2 when k = 0) and max(k+2, 4) for
-prefix reversals, where the exceptional families reach k+2 and the all-bullet
-pegs on 2413 and 3142, which have no clean compact pattern one shorter, sit at
-length 4 in every basis with k <= 3 (see peg_basis_bound).
+ones for prefix reversals (see is_peg_basis_member).  peg_basis sweeps the
+levels of a down-set of pegs up to a length bound: 2k+1 for reversals (2
+when k = 0) and max(k+2, 4) for prefix reversals, where the exceptional
+families reach k+2 and the all-bullet pegs on 2413 and 3142, which have no
+clean compact pattern one shorter, sit at length 4 in every basis with
+k <= 3 (see peg_basis_bound).
 
 The standard basis comes from a sweep of the ball levels to a proven length
 (standard_basis_bound).  The M-sets (m_set), the paper's route, cross-check
 it: three members of the reversal basis of B_2 avoid every M-set witness.
+m_set_source names the M-set holding a standard basis member without
+building any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import (Model, ResourceLimitError, _frontier_bfs, _moves,
-                       _peg_component, _peg_key, distance_bounded,
-                       distance_peg)
+from .distance import (Model, ResourceLimitError, _frontier_bfs,
+                       _is_clean_compact_key, _moves, _peg_ball_level,
+                       _peg_deletions, _peg_of_key, _peg_weakenings,
+                       distance_bounded, distance_peg)
 from .inflation import a_set_stream
-from .peg import (ExceptionalKind, PegPermutation, _linked,
-                  clean_compact_proper_patterns, enumerate_clean_compact,
-                  exceptional, is_clean_compact, peg_sort_key, proper_patterns)
-from .perm import Perm, contains_pattern, identity
+from .peg import (ExceptionalKind, PegPermutation,
+                  clean_compact_proper_patterns, exceptional,
+                  is_clean_compact, peg_of, peg_sort_key, proper_patterns)
+from .perm import Perm, identity, minimal_elements
 
 __all__ = [
     "PegBasis",
@@ -37,6 +41,7 @@ __all__ = [
     "is_peg_basis_member",
     "exceptional_check",
     "m_set",
+    "m_set_source",
     "standard_basis_bound",
     "standard_basis",
 ]
@@ -86,27 +91,6 @@ def peg_basis_bound(model: Model, k: int) -> int:
     return max(2 * k + 1, 2) if model is Model.RD else max(k + 2, 4)
 
 
-def _deletion_outside(model: Model, k: int, pp: PegPermutation) -> bool:
-    """Some clean compact one-point deletion of pp lies outside B-hat_k.
-
-    Such a deletion is a proper pattern in scope for both models, so pp is
-    then no basis member.  Works on raw tuples, so it screens candidates far
-    more cheaply than is_peg_basis_member.
-    """
-    base, decs = pp.base, pp.decorations
-    n = len(base)
-    for i in range(n):
-        v = base[i]
-        b = tuple(x - (x > v) for x in base[:i] + base[i + 1:])
-        d = decs[:i] + decs[i + 1:]
-        if any(_linked(b[j], d[j], b[j + 1], d[j + 1]) for j in range(n - 2)):
-            continue
-        key = _peg_key(b, d)
-        if _peg_component(model, key)[key] > k:
-            return True
-    return False
-
-
 def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
     """pp is a clean compact peg permutation minimal outside B-hat_k.
 
@@ -116,7 +100,8 @@ def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
     even when its clean compact patterns are all cheap.  For prefix reversals
     only clean compact patterns count, so the exceptional permutations of
     length k+2 stay minimal (their all-bullet weakenings sit outside the ball
-    but are not clean compact).
+    but are not clean compact).  peg_basis does not call this definition;
+    verify and exceptional_check do.
 
     >>> from .peg import parse_peg
     >>> is_peg_basis_member(Model.RD, 1, parse_peg("1- 2-"))
@@ -141,7 +126,28 @@ def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
 
 
 def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
-    """The complete clean compact peg basis of B-hat_k.
+    """The complete clean compact peg basis of B-hat_k, by a sweep of levels.
+
+    The members are the clean compact minimal elements outside a down-set D
+    of the peg pattern order (is_peg_basis_member's test).  For reversals D
+    is B-hat_k: a sorting of a peg, restricted to a one-point deletion or
+    applied to a single-sign weakening, sorts it in as many moves or fewer.
+    For prefix reversals only clean compact patterns are in scope, so D is
+    the set of pegs whose clean compact patterns all lie in B-hat_k; a clean
+    compact peg whose proper patterns lie in D is outside D iff its own
+    distance exceeds k.
+
+    A proper pattern of a peg lies below one of its one-point deletions or,
+    at the same length, below one of its single-sign weakenings.  As D is
+    a down-set, a peg is minimal outside D iff it lies outside D while all
+    those one-step reductions lie in D.  Every peg of length n in D, or
+    minimal outside it, deletes its maximum into D(n-1), so the candidates
+    are D(n-1) with n inserted, decorated +, - or bullet, at every slot.  A
+    weakening raises one byte of the state, so in descending state order a
+    candidate's weakenings are decided before it.  A candidate whose
+    reductions all lie in D joins D(n) if it lies in the ball or, for
+    prefix reversals, is not clean compact (its clean compact patterns are
+    then proper ones); otherwise, if clean compact, it is a member.
 
     >>> [str(pp) for pp in peg_basis(Model.RD, 1).sorted_members()]
     ['1- 2-', '2+ 1.', '2. 1+']
@@ -155,20 +161,22 @@ def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
         raise ResourceLimitError(f"peg basis radius {k} exceeds limit", limit)
     bound = peg_basis_bound(model, k)
     members: set[PegPermutation] = set()
+    below = {b""}  # D(0)
     for n in range(1, bound + 1):
-        for pp in enumerate_clean_compact(n):
-            base, decs = pp.base, pp.decorations
-            # Removing a trailing maximum decorated + or bullet (or, for
-            # reversals only, a leading 1 so decorated) keeps the rest clean
-            # compact at the same distance, so no basis member has one.
-            if n > 1 and base[-1] == n and decs[-1].value in "+.":
+        ball = _peg_ball_level(model, k, n)
+        tops = [bytes((3 * n + code,)) for code in range(3)]
+        level: set[bytes] = set()
+        for c in sorted((q[:pos] + top + q[pos:] for q in below
+                         for pos in range(n) for top in tops), reverse=True):
+            if not (all(map(below.__contains__, _peg_deletions(c)))
+                    and all(map(level.__contains__, _peg_weakenings(c)))):
                 continue
-            if (model is Model.RD and n > 1 and base[0] == 1
-                    and decs[0].value in "+."):
-                continue
-            if (not _deletion_outside(model, k, pp)
-                    and is_peg_basis_member(model, k, pp)):
-                members.add(pp)
+            clean = _is_clean_compact_key(c)
+            if c in ball or (model is Model.PRD and not clean):
+                level.add(c)
+            elif clean:
+                members.add(_peg_of_key(c))
+        below = level
     return PegBasis(model, k, frozenset(members), bound)
 
 
@@ -230,11 +238,45 @@ def m_set(model: Model, beta: PegPermutation,
     cap = len(beta) + 2 * (target + 1) if length_cap is None else length_cap
     candidates = [g for g in a_set_stream(beta, cap)
                   if distance_bounded(model, g, target) == target]
-    members = [g for g in candidates
-               if not any(len(h) < len(g) and contains_pattern(h, g)
-                          for h in candidates)]
-    return MSet(model, beta, target, frozenset(members), cap,
-                cap_hit=not candidates)
+    return MSet(model, beta, target, frozenset(minimal_elements(candidates)),
+                cap, cap_hit=not candidates)
+
+
+def m_set_source(pegs: PegBasis, p: Perm,
+                 length_cap: int | None = None) -> PegPermutation | None:
+    """The peg beta of pegs whose M-set holds p, or None.
+
+    p is a member of the standard basis of B_k, k = pegs.k, and the M-sets
+    are m_set(pegs.model, beta, length_cap) for beta in pegs.  p lies in
+    beta's M-set iff beta = peg_of(p), len(p) is within that M-set's cap
+    and p has distance d(beta).
+    (1) For clean compact beta, a_set_stream(beta) holds exactly the p with
+    peg_of(p) = beta.  An inflation with at least 2 on each sign and 1 on
+    each bullet turns each entry into a block of consecutive values that
+    runs the way of its sign.  Two adjacent blocks run on as one strip
+    exactly when their entries in beta are linked (peg._linked), and beta
+    has no linked pair; so the blocks are p's strips and collapse back to
+    beta.  Conversely p is the inflation of peg_of(p) by its strip
+    lengths.  So only peg_of(p) can hold p, and p is one of its M-set
+    candidates iff the other two conditions hold.
+    (2) m_set keeps the pattern-minimal candidates, and p is one: a shorter
+    candidate inside p is a proper pattern of a basis member, so its
+    distance is at most k, while every candidate has distance d(beta) > k.
+
+    >>> pegs = peg_basis(Model.RD, 1)
+    >>> str(m_set_source(pegs, (2, 1, 4, 3)))
+    '1- 2-'
+    >>> m_set_source(pegs, (2, 1, 4, 3), 3) is None
+    True
+    """
+    beta = peg_of(p)
+    if beta not in pegs.members:
+        return None
+    target = distance_peg(pegs.model, beta)
+    cap = len(beta) + 2 * (target + 1) if length_cap is None else length_cap
+    if len(p) <= cap and distance_bounded(pegs.model, p, target) == target:
+        return beta
+    return None
 
 
 def standard_basis_bound(model: Model, k: int) -> int:

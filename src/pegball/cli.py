@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from .basis import m_set, peg_basis, standard_basis
+from .basis import m_set_source, peg_basis, standard_basis
 from .distance import Model, ResourceLimitError, distance, distance_peg
 from .enumeration import CountMethod, sequence
 from .generators import generating_set
@@ -60,6 +60,13 @@ def _peg_arg(text: str) -> PegPermutation:
     return parse_peg(text)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative value: {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=("rd", "prd"), default="rd",
@@ -94,27 +101,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", parents=[common],
                        help="k-generating peg permutations")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
 
     p = sub.add_parser("peg-basis", parents=[common],
                        help="clean compact peg basis of the radius-k ball")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
 
     p = sub.add_parser("basis", parents=[common],
                        help="standard basis with M-set provenance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--cap", metavar="L", type=int, default=None,
                    help="length cap for the basis sweep and the M-set search")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="ball sizes for n = 1 .. n-max")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
+    p.add_argument("--n-max", type=nonnegative_int, required=True)
     p.add_argument("--method", choices=sorted(_METHODS), default="bfs")
 
     p = sub.add_parser("member", parents=[common],
                        help="ball membership with a witness or violation")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("perm", metavar="PERM")
 
     p = sub.add_parser("grid-member", parents=[common],
@@ -167,16 +174,14 @@ def _cmd_peg_basis(args) -> tuple[object, list[str], int]:
 def _cmd_basis(args) -> tuple[object, list[str], int]:
     model = Model(args.model)
     pegs = peg_basis(model, args.k, k_limit=args.limit)
-    fibers = {beta: m_set(model, beta, args.cap)
-              for beta in pegs.sorted_members()}
     members = sorted(standard_basis(model, args.k, args.cap,
                                     k_limit=args.limit),
                      key=lambda p: (len(p), p))
     rows = []
     lines = []
     for p in members:
-        sources = [format_peg(beta) for beta, ms in fibers.items()
-                   if p in ms.members]
+        beta = m_set_source(pegs, p, args.cap)
+        sources = [] if beta is None else [format_peg(beta)]
         rows.append({"perm": format_perm(p), "sources": sources})
         if sources:
             lines.append(f"{format_perm(p)}  [M: {', '.join(sources)}]")
@@ -276,9 +281,6 @@ def run(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         if args.cache_dir:
             if previous_cache is None:

@@ -39,7 +39,8 @@ from operator import add, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .peg import _FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation, strips
+from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation, _linked,
+                  strips)
 from .perm import Perm, check_permutation, identity
 
 __all__ = [
@@ -113,9 +114,15 @@ def _standard_neighbors(model: Model, p: Perm) -> Iterator[Perm]:
             yield p[:j][::-1] + p[j:]
 
 
+def _check_model(model: Model) -> None:
+    if not isinstance(model, Model):
+        raise TypeError(f"model must be a Model, not {model!r}")
+
+
 def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
     """The blocks [i, j) a move may reverse: any block for reversals, a
     prefix for prefix reversals, of at least shortest entries."""
+    _check_model(model)
     starts = range(n) if model is Model.RD else (0,)
     return [(i, j) for i in starts for j in range(i + shortest, n + 1)]
 
@@ -127,8 +134,8 @@ def _moves(model: Model, n: int) -> list[itemgetter]:
 
 
 # A peg state is the bytes key 3*value + code per entry; the decoration
-# codes are the positions in _CODES.  Only _peg_key, _peg_of_key and the
-# moves below read or write keys.
+# codes are the positions in _CODES.  Only the functions from _peg_key to
+# the moves below read or write keys.
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 _ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
 _KEY_BYTES = range(3, 3 * HARD_LIMIT_PEG + 3)
@@ -151,6 +158,33 @@ def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
 def _peg_of_key(key: bytes) -> PegPermutation:
     return PegPermutation(tuple(b // 3 for b in key),
                           tuple(_CODES[b % 3] for b in key))
+
+
+# _DROP[v] renumbers the values above v once v is deleted
+_DROP = [bytes.maketrans(bytes(_KEY_BYTES),
+                         bytes(b - 3 * (b // 3 > v) for b in _KEY_BYTES))
+         for v in range(HARD_LIMIT_PEG + 1)]
+# adjacent state bytes whose entries share a strip
+_LINKED = frozenset((a, b) for a in _KEY_BYTES for b in _KEY_BYTES
+                    if _linked(a // 3, _CODES[a % 3], b // 3, _CODES[b % 3]))
+
+
+def _peg_deletions(key: bytes) -> Iterator[bytes]:
+    """The one-point deletions of a peg state."""
+    for i, b in enumerate(key):
+        yield (key[:i] + key[i + 1:]).translate(_DROP[b // 3])
+
+
+def _peg_weakenings(key: bytes) -> Iterator[bytes]:
+    """The peg state with one sign weakened to a bullet, for each sign.
+    Each is greater than key, as one byte grows."""
+    for i, b in enumerate(key):
+        if b % 3 != 2:
+            yield key[:i] + bytes((b - b % 3 + 2,)) + key[i + 1:]
+
+
+def _is_clean_compact_key(key: bytes) -> bool:
+    return _LINKED.isdisjoint(zip(key, key[1:]))
 
 
 def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
@@ -227,11 +261,6 @@ def _standard_table(model: Model, n: int) -> dict[Perm, int]:
         table = _standard_search(model, identity(n))
         _STANDARD_TABLES[key] = table
     return table
-
-
-def _goal_key(n: int, bullets: frozenset[int]) -> bytes:
-    return _peg_key(identity(n), ["." if v in bullets else "+"
-                                  for v in range(1, n + 1)])
 
 
 def _peg_component(model: Model, key: bytes) -> dict[bytes, int]:
@@ -390,6 +419,7 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     >>> distance_bounded(Model.PRD, (1, 3, 2), 1) is None
     True
     """
+    _check_model(model)
     p = tuple(p)
     check_permutation(p)
     h = _h_rd if model is Model.RD else _h_prd
@@ -462,12 +492,16 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
         _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
                          HARD_LIMIT_STANDARD, "permutation")
         return set(_frontier_bfs([identity(n)], _moves(model, n), k))
+    return set(map(_peg_of_key, _peg_ball_level(model, k, n, limit)))
+
+
+def _peg_ball_level(model: Model, k: int, n: int,
+                    limit: int | None = None) -> dict[bytes, int]:
+    """The peg states of length n within distance k of one of the 2^n goals."""
     _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
                      "peg permutation")
-    goals = [_goal_key(n, frozenset(v for v in range(1, n + 1)
-                                    if mask >> (v - 1) & 1))
-             for mask in range(2 ** n)]
-    return set(map(_peg_of_key, _frontier_bfs(goals, _peg_moves(model, n), k)))
+    goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
+    return _frontier_bfs(goals, _peg_moves(model, n), k)
 
 
 @dataclass(frozen=True)

@@ -70,13 +70,38 @@ PRD_GENERATING_COUNT_MAX_K = 6
 
 # The prefix-reversal bases at k <= 1 include the two pegs of
 # REDUCED_PATTERN_GAPS: their distance is 4 and every clean compact proper
-# pattern of theirs has distance 0.
+# pattern of theirs has distance 0.  rd k=2 and prd k=2, 3 come from a scan
+# of every clean compact peg up to the length bound with
+# basis.is_peg_basis_member; the level sweep of basis.peg_basis agrees.
 PEG_BASES: dict[tuple[str, int], frozenset[str]] = {
     ("rd", 1): frozenset({"1- 2-", "2+ 1.", "2. 1+"}),
     ("prd", 0): frozenset({"1-", "2+ 1.", "2. 1+", "2. 4. 1. 3.",
                            "3. 1. 4. 2."}),
     ("prd", 1): frozenset({"1. 2-", "2. 1+", "2+ 1.", "3. 1- 2.", "2- 3. 1.",
                            "2. 4. 1. 3.", "3. 1. 4. 2."}),
+    ("rd", 2): frozenset({
+        "2+ 1+", "1- 2- 3-", "1- 3+ 2.", "1- 3. 2+", "2+ 1. 3-", "2. 1+ 3-",
+        "2+ 3- 1.", "2- 3+ 1.", "2- 3. 1-", "2. 3- 1-", "3- 1- 2.", "3- 1. 2-",
+        "3. 1+ 2-", "3. 1- 2+", "2. 3- 4. 1.", "2. 4. 1. 3.", "2. 4+ 3. 1.",
+        "2. 4. 3+ 1.", "3. 1. 4. 2.", "3+ 2. 4. 1.", "3. 2+ 4. 1.",
+        "4. 1. 2- 3.", "4. 1. 3+ 2.", "4. 1. 3. 2+", "4. 2+ 1. 3.",
+        "4. 2. 1+ 3.", "4. 2- 3. 1.", "4. 2. 3- 1.",
+    }),
+    ("prd", 2): frozenset({
+        "1. 2-", "2+ 1+", "1. 3+ 2.", "1. 3. 2+", "2- 3. 1.", "3. 1- 2.",
+        "3. 2+ 1.", "2. 4. 1. 3.", "3. 1. 4. 2.", "3+ 2. 4. 1.", "4. 2. 1+ 3.",
+    }),
+    ("prd", 3): frozenset({
+        "1- 2-", "1+ 3+ 2.", "1+ 3. 2+", "1. 3+ 2-", "1. 3- 2+", "2+ 1. 3-",
+        "2. 1+ 3-", "2- 3. 1+", "2. 3- 1+", "3+ 1- 2.", "3+ 1. 2-", "3. 2+ 1.",
+        "1- 2. 4+ 3.", "1- 2. 4. 3+", "1. 2- 4+ 3.", "1. 2- 4. 3+",
+        "1. 3- 4. 2.", "1. 3. 4- 2.", "1. 4. 2- 3.", "1. 4. 2. 3-",
+        "1. 4+ 3. 2+", "2. 3- 4. 1.", "2. 4. 1. 3.", "2. 4+ 3. 1.",
+        "3. 1. 4. 2.", "3+ 2. 4. 1.", "3- 4. 1- 2.", "3- 4. 1. 2-",
+        "3. 4- 1- 2.", "3. 4- 1. 2-", "4. 1. 2- 3.", "4. 1. 3. 2+",
+        "4. 2. 1+ 3.", "4. 2- 3. 1.", "4. 2. 3- 1.", "3- 4. 2. 5. 1.",
+        "5. 3. 1- 2. 4.",
+    }),
 }
 
 # The clean compact pegs of length 2..6 with no clean compact pattern one

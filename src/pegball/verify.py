@@ -22,7 +22,8 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from . import reference
-from .basis import exceptional_check, m_set, peg_basis, standard_basis
+from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
+                    peg_basis_bound, standard_basis)
 from .distance import (Model, TableKind, ball, distance, distance_peg,
                        distance_peg_via_inflation, lower_bound, pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
@@ -32,7 +33,7 @@ from .peg import (Decoration, ExceptionalKind, PegPermutation,
                   _clean_compact_tuples, _linked,
                   clean_compact_proper_patterns, enumerate_clean_compact,
                   exceptional, format_peg, is_clean_compact, parse_peg, peg_of,
-                  peg_pattern_contains)
+                  peg_pattern_contains, peg_sort_key)
 from .perm import (Perm, avoids_all, compose, contains_pattern, format_perm,
                    parse_perm, pattern_of, reversal)
 
@@ -106,10 +107,17 @@ def _check_generating_sets() -> CheckResult:
 def _check_peg_bases() -> CheckResult:
     fails = []
     for (model_name, k), want in sorted(reference.PEG_BASES.items()):
-        got = {format_peg(pp)
-               for pp in peg_basis(_MODEL[model_name], k).members}
+        model = _MODEL[model_name]
+        members = peg_basis(model, k).members
+        got = {format_peg(pp) for pp in members}
         if got != set(want):
             fails.append(f"{model_name} k={k}: {sorted(got)}")
+        # the definition-level test is a second route to the sweep
+        fails += [f"{model_name} k={k}: {format_peg(pp)} is no member by "
+                  f"definition or exceeds the bound"
+                  for pp in sorted(members, key=peg_sort_key)
+                  if len(pp) > peg_basis_bound(model, k)
+                  or not is_peg_basis_member(model, k, pp)]
     return _result("paper", "peg-bases", fails,
                    f"{len(reference.PEG_BASES)} bases, exact")
 

@@ -24,6 +24,26 @@ def test_peg_bases_frozen():
         assert got == set(want)
 
 
+def test_peg_basis_needs_no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("peg_basis must not enumerate or test pegs")
+
+    # the sweep calls none of these; basis no longer imports the first
+    monkeypatch.setattr(basis_module, "enumerate_clean_compact", refuse,
+                        raising=False)
+    monkeypatch.setattr(basis_module, "is_peg_basis_member", refuse)
+    monkeypatch.setattr(basis_module, "proper_patterns", refuse)
+    for (model, k), want in reference.PEG_BASES.items():
+        got = {format_peg(pp) for pp in peg_basis(Model(model), k).members}
+        assert got == set(want)
+
+
+def test_prd_k4_peg_basis():
+    got = peg_basis(Model.PRD, 4).members
+    assert len(got) == 159
+    assert Counter(map(len, got)) == {3: 5, 4: 58, 5: 90, 6: 6}
+
+
 def test_peg_basis_rd0():
     assert {format_peg(pp) for pp in peg_basis(Model.RD, 0).members} == {"1-"}
 

@@ -1,13 +1,17 @@
 import json
 import os
 
+import pytest
+
+from pegball import basis as basis_module
 from pegball import reference
 from pegball import cli
-from pegball.basis import standard_basis
+from pegball.basis import m_set, peg_basis, standard_basis
 from pegball.cli import main
 from pegball.distance import Model
 from pegball.enumeration import CountMethod, sequence
-from pegball.peg import parse_peg
+from pegball.peg import format_peg, parse_peg
+from pegball.perm import format_perm
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,34 @@ def test_basis_sweep_provenance(capsys):
     assert payload["result"]["count"] == 31
     swept = {m["perm"] for m in members if not m["sources"]}
     assert swept == {"4 5 2 3 1", "4 5 3 1 2", "5 3 4 1 2"}
+
+
+def test_basis_provenance_builds_no_m_set(capsys, monkeypatch):
+    # the M-set route: p is listed under every basis peg whose M-set holds it
+    cases = (("rd", 2, None), ("rd", 2, 6), ("prd", 3, 5))
+    want = {}
+    for model, k, cap in cases:
+        fibers = [(beta, m_set(Model(model), beta, cap).members)
+                  for beta in peg_basis(Model(model), k).sorted_members()]
+        want[model, k, cap] = {
+            format_perm(p): [format_peg(beta) for beta, ms in fibers
+                             if p in ms]
+            for p in standard_basis(Model(model), k, cap)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis must build no M-set")
+
+    monkeypatch.setattr(cli, "m_set", refuse, raising=False)
+    monkeypatch.setattr(basis_module, "m_set", refuse)
+    for model, k, cap in cases:
+        argv = ["basis", "--model", model, "--k", str(k), "--json"]
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        got = {row["perm"]: row["sources"]
+               for row in json.loads(out)["result"]["members"]}
+        assert got == want[model, k, cap]
 
 
 def test_member(capsys):
@@ -142,6 +174,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    for argv in (["peg-basis", "--k", "-1"],
+                 ["enumerate", "--k", "1", "--n-max", "-2"]):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    def fault(args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "distance", fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["distance", "3412"])
 
 
 def test_parse_errors(capsys):

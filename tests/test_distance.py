@@ -10,15 +10,18 @@ import pytest
 
 from pegball import reference
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs, _goal_key, _moves,
-                              _peg_component, _peg_of_key,
+                              TableKind, _frontier_bfs,
+                              _is_clean_compact_key, _moves, _peg_component,
+                              _peg_deletions, _peg_key, _peg_of_key,
+                              _peg_weakenings,
                               _standard_neighbors, _standard_search,
                               _standard_table, ball, breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
                               distance_bounded, distance_peg,
                               distance_peg_via_inflation, get_table,
                               lower_bound, pair_distance)
-from pegball.peg import (PegPermutation, format_peg, oriented_prefix_reversal,
+from pegball.peg import (PegPermutation, format_peg, is_clean_compact,
+                         oriented_prefix_reversal,
                          oriented_reversal, parse_peg)
 from pegball.perm import identity, parse_perm
 
@@ -135,11 +138,11 @@ def test_peg_components_satisfy_bellman(model):
                     for base in itertools.permutations(identity(n))
                     for decs in itertools.product("+-.", repeat=n)
                     if {v for v, d in zip(base, decs) if d == "."} == bullets]
-            comp = _peg_component(model, _goal_key(n, bullets))
-            dist = {_peg_of_key(key): d for key, d in comp.items()}
-            assert len(dist) == len(comp)
             goal = PegPermutation(identity(n), ["." if v in bullets else "+"
                                                 for v in identity(n)])
+            comp = _peg_component(model, _peg_key(goal.base, goal.decorations))
+            dist = {_peg_of_key(key): d for key, d in comp.items()}
+            assert len(dist) == len(comp)
             _assert_bellman(dist, pegs, goal,
                             lambda pp: _oriented_neighbours(model, pp))
 
@@ -434,3 +437,37 @@ def test_peg_state_goal():
     assert distance_peg(Model.RD, parse_peg("1+")) == 0
     assert distance_peg(Model.RD, parse_peg("1.")) == 0
     assert distance_peg(Model.RD, parse_peg("1-")) == 1
+
+
+def test_peg_state_reductions_match_pegs():
+    for n in range(5):
+        for base in itertools.permutations(identity(n)):
+            for decs in itertools.product("+-.", repeat=n):
+                pp = PegPermutation(base, decs)
+                key = _peg_key(base, decs)
+                deletions = [PegPermutation(
+                    tuple(v - (v > base[i]) for v in base[:i] + base[i + 1:]),
+                    decs[:i] + decs[i + 1:]) for i in range(n)]
+                weakenings = [PegPermutation(base, decs[:i] + (".",)
+                                             + decs[i + 1:])
+                              for i in range(n) if decs[i] != "."]
+                assert list(map(_peg_of_key, _peg_deletions(key))) == deletions
+                assert list(map(_peg_of_key, _peg_weakenings(key))) == \
+                    weakenings
+                assert all(w > key for w in _peg_weakenings(key))
+                assert _is_clean_compact_key(key) == is_clean_compact(pp)
+
+
+def test_non_model_rejected():
+    distance(Model.RD, (3, 4, 1, 2))  # a warm table for the same length
+    calls = [lambda: distance("rd", (3, 4, 1, 2)),
+             lambda: distance_peg("rd", parse_peg("2+ 1+")),
+             lambda: pair_distance("rd", (2, 1), (1, 2)),
+             lambda: distance_bounded("rd", (3, 4, 1, 2), 3),
+             lambda: ball("rd", 1, 3),
+             lambda: ball("rd", 1, 3, TableKind.PEG),
+             lambda: build_table("prd", 3),
+             lambda: build_table("prd", 2, TableKind.PEG)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
