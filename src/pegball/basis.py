@@ -1,18 +1,18 @@
 """Clean compact peg bases of the balls, M-sets, and standard bases.
 
-A clean compact peg permutation is a basis member of B-hat_k iff its own
-distance exceeds k while every proper pattern in scope stays within k; the
-scope is the full peg pattern order for reversals and the clean compact
-ones for prefix reversals (see is_peg_basis_member).  peg_basis sweeps the
-levels of a down-set of pegs up to a length bound: 2k+1 for reversals (2
-when k = 0) and max(k+2, 4) for prefix reversals, where the exceptional
-families reach k+2 and the all-bullet pegs on 2413 and 3142, which have no
-clean compact pattern one shorter, sit at length 4 in every basis with
-k <= 3 (see peg_basis_bound).
+Both bases are the minimal elements outside a down-set, found by one level
+sweep over peg states (_sweep, which holds the proof); a standard
+permutation enters it as the all-bullet peg on it.  A clean compact peg
+permutation is a basis member of B-hat_k iff its own distance exceeds k
+while every proper pattern in scope stays within k; the scope is the full
+peg pattern order for reversals and the clean compact ones for prefix
+reversals (see is_peg_basis_member).  The peg sweep stops at 2k+1 for
+reversals (2 when k = 0) and max(k+2, 4) for prefix reversals
+(peg_basis_bound), the standard one at a proven length
+(standard_basis_bound).
 
-The standard basis comes from a sweep of the ball levels to a proven length
-(standard_basis_bound).  The M-sets (m_set), the paper's route, cross-check
-it: three members of the reversal basis of B_2 avoid every M-set witness.
+The M-sets (m_set), the paper's route, cross-check the standard basis:
+three members of the reversal basis of B_2 avoid every M-set witness.
 m_set_source names the M-set holding a standard basis member without
 building any.
 """
@@ -20,16 +20,17 @@ building any.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
-from .distance import (Model, ResourceLimitError, _frontier_bfs,
-                       _is_clean_compact_key, _moves, _peg_ball_level,
-                       _peg_deletions, _peg_of_key, _peg_weakenings,
-                       distance_bounded, distance_peg)
+from .distance import (_MAX_STATE_VALUE, Model, ResourceLimitError,
+                       _bullet_ball_level, _is_clean_compact_key,
+                       _peg_ball_level, _peg_deletions, _peg_of_key,
+                       _peg_weakenings, distance_bounded, distance_peg)
 from .inflation import a_set_stream
 from .peg import (ExceptionalKind, PegPermutation,
                   clean_compact_proper_patterns, exceptional,
                   is_clean_compact, peg_of, peg_sort_key, proper_patterns)
-from .perm import Perm, identity, minimal_elements
+from .perm import Perm, minimal_elements
 
 __all__ = [
     "PegBasis",
@@ -70,7 +71,7 @@ class MSet:
     target_distance: int
     members: frozenset[Perm]
     cap: int
-    cap_hit: bool
+    no_candidates: bool
 
 
 def peg_basis_bound(model: Model, k: int) -> int:
@@ -125,29 +126,84 @@ def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
     return all(len(qq) == 0 or distance_peg(model, qq) <= k for qq in patterns)
 
 
+def _sweep(ball: Callable[[int], Iterable[bytes]], bound: int,
+           codes: Sequence[int],
+           scope: Callable[[bytes], bool] | None = None) -> list[bytes]:
+    """The minimal peg states outside a down-set D, up to length bound.
+
+    ball(n) holds the ball's states of length n, and codes are the
+    decorations the new maximum may take (+ 0, - 1, bullet 2).  D is the
+    ball when scope is None, else the states whose patterns passing scope
+    all lie in the ball.  The ball is a down-set (a sorting of a state,
+    restricted to a one-point deletion or applied to a single-sign
+    weakening, sorts it in as many moves or fewer), so D is one too.
+
+    A proper pattern of a state lies below a one-point deletion or, at the
+    same length, a single-sign weakening of it, so a state is minimal
+    outside D iff it is outside D and those reductions are in D.  Deleting
+    the maximum of a state in D(n), or minimal outside D, leaves some q in
+    D(n-1); q keeps a mask with bit 3*pos + code set when n inserted at
+    slot pos with that code is in D(n).  A state of the ball is in D; for
+    the other candidates:
+    - deleting q's entry i gives q's deletion at i with n-1 at pos, or at
+      pos - 1 if pos > i: an AND with its shifted mask decides every slot;
+    - weakening an entry of q gives the same slot and code on a weakening
+      of q, which is greater, as one byte grows, so its mask is complete
+      when q is taken in descending order;
+    - weakening the new maximum gives the bullet at the same slot, decided
+      first, as the bits are taken in descending order.
+    A candidate outside the ball whose reductions are in D joins D(n) if it
+    is outside the scope (its patterns in scope are then proper ones), and
+    otherwise is minimal outside D.
+    """
+    if bound > _MAX_STATE_VALUE:
+        raise ResourceLimitError(f"sweep length {bound} exceeds the state "
+                                 f"encoding", _MAX_STATE_VALUE)
+    found: list[bytes] = []
+    below, below_masks = [b""], {}  # D(0); D(-1) has no masks
+    for n in range(1, bound + 1):
+        every = sum(1 << 3 * pos + code for pos in range(n) for code in codes)
+        level = list(ball(n))
+        masks: dict[bytes, int] = {}
+        for c in level:  # the candidates in the ball, read off the ball
+            top = max(c)
+            pos = c.index(top)
+            q = c[:pos] + c[pos + 1:]
+            masks[q] = masks.get(q, 0) | 1 << 3 * pos + top % 3
+        for q in sorted(below, reverse=True):
+            joined = masks.get(q, 0)
+            rest = every & ~joined
+            for i, r in enumerate(_peg_deletions(q)):
+                if not rest:
+                    break
+                mask = below_masks[r]
+                low = (1 << 3 * i + 3) - 1  # the bits of slots up to i
+                rest &= (mask & low) | (mask << 3 & ~low)
+            for w in _peg_weakenings(q):
+                rest &= masks[w]
+            while rest:
+                bit = rest.bit_length() - 1
+                rest ^= 1 << bit
+                pos, code = divmod(bit, 3)
+                if code != 2 and not joined >> bit - code + 2 & 1:
+                    continue  # its bullet weakening is outside D
+                c = q[:pos] + bytes((3 * n + code,)) + q[pos:]
+                if scope is not None and not scope(c):
+                    joined |= 1 << bit
+                    level.append(c)
+                else:
+                    found.append(c)
+            masks[q] = joined
+        below, below_masks = level, masks
+    return found
+
+
 def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
-    """The complete clean compact peg basis of B-hat_k, by a sweep of levels.
+    """The complete clean compact peg basis of B-hat_k, by _sweep.
 
-    The members are the clean compact minimal elements outside a down-set D
-    of the peg pattern order (is_peg_basis_member's test).  For reversals D
-    is B-hat_k: a sorting of a peg, restricted to a one-point deletion or
-    applied to a single-sign weakening, sorts it in as many moves or fewer.
-    For prefix reversals only clean compact patterns are in scope, so D is
-    the set of pegs whose clean compact patterns all lie in B-hat_k; a clean
-    compact peg whose proper patterns lie in D is outside D iff its own
-    distance exceeds k.
-
-    A proper pattern of a peg lies below one of its one-point deletions or,
-    at the same length, below one of its single-sign weakenings.  As D is
-    a down-set, a peg is minimal outside D iff it lies outside D while all
-    those one-step reductions lie in D.  Every peg of length n in D, or
-    minimal outside it, deletes its maximum into D(n-1), so the candidates
-    are D(n-1) with n inserted, decorated +, - or bullet, at every slot.  A
-    weakening raises one byte of the state, so in descending state order a
-    candidate's weakenings are decided before it.  A candidate whose
-    reductions all lie in D joins D(n) if it lies in the ball or, for
-    prefix reversals, is not clean compact (its clean compact patterns are
-    then proper ones); otherwise, if clean compact, it is a member.
+    The members are the clean compact minimal pegs outside B-hat_k for
+    reversals; for prefix reversals, outside the pegs whose clean compact
+    patterns all lie in B-hat_k (is_peg_basis_member's test).
 
     >>> [str(pp) for pp in peg_basis(Model.RD, 1).sorted_members()]
     ['1- 2-', '2+ 1.', '2. 1+']
@@ -160,24 +216,10 @@ def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
     if k > limit:
         raise ResourceLimitError(f"peg basis radius {k} exceeds limit", limit)
     bound = peg_basis_bound(model, k)
-    members: set[PegPermutation] = set()
-    below = {b""}  # D(0)
-    for n in range(1, bound + 1):
-        ball = _peg_ball_level(model, k, n)
-        tops = [bytes((3 * n + code,)) for code in range(3)]
-        level: set[bytes] = set()
-        for c in sorted((q[:pos] + top + q[pos:] for q in below
-                         for pos in range(n) for top in tops), reverse=True):
-            if not (all(map(below.__contains__, _peg_deletions(c)))
-                    and all(map(level.__contains__, _peg_weakenings(c)))):
-                continue
-            clean = _is_clean_compact_key(c)
-            if c in ball or (model is Model.PRD and not clean):
-                level.add(c)
-            elif clean:
-                members.add(_peg_of_key(c))
-        below = level
-    return PegBasis(model, k, frozenset(members), bound)
+    found = _sweep(lambda n: _peg_ball_level(model, k, n), bound, range(3),
+                   None if model is Model.RD else _is_clean_compact_key)
+    return PegBasis(model, k, frozenset(
+        _peg_of_key(c) for c in found if _is_clean_compact_key(c)), bound)
 
 
 @dataclass(frozen=True)
@@ -239,7 +281,7 @@ def m_set(model: Model, beta: PegPermutation,
     candidates = [g for g in a_set_stream(beta, cap)
                   if distance_bounded(model, g, target) == target]
     return MSet(model, beta, target, frozenset(minimal_elements(candidates)),
-                cap, cap_hit=not candidates)
+                cap, no_candidates=not candidates)
 
 
 def m_set_source(pegs: PegBasis, p: Perm,
@@ -318,15 +360,11 @@ def standard_basis_bound(model: Model, k: int) -> int:
 
 def standard_basis(model: Model, k: int, length_cap: int | None = None,
                    *, k_limit: int | None = None) -> set[Perm]:
-    """Basis of the pattern class B_k, by a sweep of the ball levels.
+    """Basis of the pattern class B_k, by _sweep.
 
-    Balls are closed downward, so a basis member of length n is some p in
-    B_k(n-1) with n inserted, outside B_k(n), whose other one-point
-    deletions lie in B_k(n-1).  Deleting p's entry i from the insertion at
-    pos gives p's deletion at i with n-1 inserted at pos - (pos > i), so
-    each ball member keeps a bit mask of the slots where inserting the next
-    maximum stays in the ball.  The sweep stops at standard_basis_bound;
-    length_cap can only shorten it.
+    A permutation enters the sweep as the all-bullet peg on it, so the ball
+    is B_k, the new maximum is a bullet and every state found is a member.
+    The sweep stops at standard_basis_bound; length_cap can only shorten it.
 
     >>> sorted(standard_basis(Model.RD, 1), key=lambda p: (len(p), p))
     [(2, 3, 1), (3, 1, 2), (2, 1, 4, 3)]
@@ -339,25 +377,5 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     sweep_to = standard_basis_bound(model, k)
     if length_cap is not None:
         sweep_to = min(length_cap, sweep_to)
-    found: set[Perm] = set()
-    prev_slots, level = {(): 1}, {(1,)}  # B_k(0) with its slot mask, B_k(1)
-    for n in range(2, sweep_to + 1):
-        cur = _frontier_bfs([identity(n)], _moves(model, n), k)
-        slots: dict[Perm, int] = {}
-        for p in level:
-            slots[p] = inside = sum(1 << pos for pos in range(n)
-                                    if p[:pos] + (n,) + p[pos:] in cur)
-            outside = ((1 << n) - 1) & ~inside
-            for i in range(n - 1):
-                if not outside:
-                    break
-                v = p[i]
-                mask = prev_slots[tuple([x - (x > v)
-                                         for x in p[:i] + p[i + 1:]])]
-                # the deletion at i needs slot pos if pos <= i, else pos - 1
-                low = (1 << (i + 1)) - 1
-                outside &= (mask & low) | (mask << 1 & ~low)
-            found.update(p[:pos] + (n,) + p[pos:] for pos in range(n)
-                         if outside >> pos & 1)
-        prev_slots, level = slots, cur
-    return found
+    found = _sweep(lambda n: _bullet_ball_level(model, k, n), sweep_to, (2,))
+    return {tuple(b // 3 for b in c) for c in found}

@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("basis", parents=[common],
                        help="standard basis with M-set provenance")
     p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--cap", metavar="L", type=int, default=None,
+    p.add_argument("--cap", metavar="L", type=nonnegative_int, default=None,
                    help="length cap for the basis sweep and the M-set search")
 
     p = sub.add_parser("enumerate", parents=[common],

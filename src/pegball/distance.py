@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import compress, filterfalse, permutations, product, repeat
 from math import factorial
 from operator import add, itemgetter, not_
@@ -103,17 +104,6 @@ def _effective_limit(n: int, limit: int | None, default: int, hard: int,
 # ---------------------------------------------------------------------------
 # Moves
 
-def _standard_neighbors(model: Model, p: Perm) -> Iterator[Perm]:
-    n = len(p)
-    if model is Model.RD:
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield p[:i] + p[i:j + 1][::-1] + p[j + 1:]
-    else:
-        for j in range(2, n + 1):
-            yield p[:j][::-1] + p[j:]
-
-
 def _check_model(model: Model) -> None:
     if not isinstance(model, Model):
         raise TypeError(f"model must be a Model, not {model!r}")
@@ -127,15 +117,17 @@ def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
     return [(i, j) for i in starts for j in range(i + shortest, n + 1)]
 
 
+@cache
 def _moves(model: Model, n: int) -> list[itemgetter]:
-    """Each move as an itemgetter: move(p) is p with one block reversed."""
+    """Each move as an itemgetter: move(p) is p with one block reversed.
+    Memoized per (model, n); callers must not change the list."""
     return [itemgetter(*range(i), *range(j - 1, i - 1, -1), *range(j, n))
             for i, j in _blocks(model, n, 2)]
 
 
 # A peg state is the bytes key 3*value + code per entry; the decoration
 # codes are the positions in _CODES.  Only the functions from _peg_key to
-# the moves below read or write keys.
+# the moves below, the ball levels and basis._sweep read or write keys.
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 _ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
 _KEY_BYTES = range(3, 3 * HARD_LIMIT_PEG + 3)
@@ -160,10 +152,16 @@ def _peg_of_key(key: bytes) -> PegPermutation:
                           tuple(_CODES[b % 3] for b in key))
 
 
-# _DROP[v] renumbers the values above v once v is deleted
-_DROP = [bytes.maketrans(bytes(_KEY_BYTES),
-                         bytes(b - 3 * (b // 3 > v) for b in _KEY_BYTES))
-         for v in range(HARD_LIMIT_PEG + 1)]
+# the largest value a state byte holds with every code: 3 * 84 + 2 = 254
+_MAX_STATE_VALUE = 84
+
+
+@cache
+def _drop(v: int) -> bytes:
+    """The translation that renumbers the values above v once v is deleted."""
+    return bytes(b - 3 * (b // 3 > v) for b in range(256))
+
+
 # adjacent state bytes whose entries share a strip
 _LINKED = frozenset((a, b) for a in _KEY_BYTES for b in _KEY_BYTES
                     if _linked(a // 3, _CODES[a % 3], b // 3, _CODES[b % 3]))
@@ -172,7 +170,7 @@ _LINKED = frozenset((a, b) for a in _KEY_BYTES for b in _KEY_BYTES
 def _peg_deletions(key: bytes) -> Iterator[bytes]:
     """The one-point deletions of a peg state."""
     for i, b in enumerate(key):
-        yield (key[:i] + key[i + 1:]).translate(_DROP[b // 3])
+        yield (key[:i] + key[i + 1:]).translate(_drop(b // 3))
 
 
 def _peg_weakenings(key: bytes) -> Iterator[bytes]:
@@ -424,6 +422,7 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     check_permutation(p)
     h = _h_rd if model is Model.RD else _h_prd
     goal = identity(len(p))
+    moves = _moves(model, len(p))
     if p == goal:
         return 0
 
@@ -434,8 +433,8 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
             return True
         if g == limit:
             return False
-        for nb in _standard_neighbors(model, state):
-            if dfs(nb, g + 1, limit):
+        for move in moves:
+            if dfs(move(state), g + 1, limit):
                 return True
         return False
 
@@ -502,6 +501,13 @@ def _peg_ball_level(model: Model, k: int, n: int,
                      "peg permutation")
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
     return _frontier_bfs(goals, _peg_moves(model, n), k)
+
+
+def _bullet_ball_level(model: Model, k: int, n: int) -> dict[bytes, int]:
+    """B_k(n) as all-bullet peg states (n <= _MAX_STATE_VALUE): the peg ball
+    of the all-bullet identity, as oriented moves never flip a bullet."""
+    return _frontier_bfs([bytes(range(5, 3 * n + 3, 3))],
+                         _peg_moves(model, n), k)
 
 
 @dataclass(frozen=True)

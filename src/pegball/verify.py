@@ -24,18 +24,21 @@ from math import factorial
 from . import reference
 from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
                     peg_basis_bound, standard_basis)
-from .distance import (Model, TableKind, ball, distance, distance_peg,
-                       distance_peg_via_inflation, lower_bound, pair_distance)
+from .distance import (Model, TableKind, _bullet_ball_level,
+                       _is_clean_compact_key, _peg_ball_level, _peg_deletions,
+                       _peg_key, _peg_of_key, _peg_weakenings, ball, distance,
+                       distance_peg, distance_peg_via_inflation, lower_bound,
+                       pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
 from .inflation import grid_member, legal_vectors, monotone_inflate
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
-                  _clean_compact_tuples, _linked,
-                  clean_compact_proper_patterns, enumerate_clean_compact,
-                  exceptional, format_peg, is_clean_compact, parse_peg, peg_of,
-                  peg_pattern_contains, peg_sort_key)
+                  _clean_compact_tuples, clean_compact_proper_patterns,
+                  enumerate_clean_compact, exceptional, format_peg,
+                  is_clean_compact, parse_peg, peg_of, peg_pattern_contains,
+                  peg_sort_key)
 from .perm import (Perm, avoids_all, compose, contains_pattern, format_perm,
-                   parse_perm, pattern_of, reversal)
+                   parse_perm, reversal)
 
 _MODEL = {"rd": Model.RD, "prd": Model.PRD}
 _MAX_DETAIL = 4
@@ -129,7 +132,7 @@ def _check_m_sets() -> CheckResult:
         if set(ms.members) != {parse_perm(t) for t in want}:
             fails.append(f"M_{{{beta_text}}} = "
                          f"{sorted(format_perm(p) for p in ms.members)}")
-        elif ms.cap_hit:
+        elif ms.no_candidates:
             fails.append(f"M_{{{beta_text}}}: length cap hit")
     return _result("paper", "m-sets", fails,
                    f"{len(reference.M_SETS)} fibers, exact")
@@ -311,48 +314,27 @@ def _check_left_invariance(rng: random.Random) -> CheckResult:
                    "200 random triples, n <= 5, both models")
 
 
-def _deletions(pp: PegPermutation):
-    for i in range(len(pp)):
-        base = pp.base[:i] + pp.base[i + 1:]
-        ranks = {v: r + 1 for r, v in enumerate(sorted(base))}
-        yield PegPermutation(tuple(ranks[v] for v in base),
-                             pp.decorations[:i] + pp.decorations[i + 1:])
-
-
-def _weakenings(pp: PegPermutation):
-    for i, dec in enumerate(pp.decorations):
-        if dec is not Decoration.DOT:
-            decs = (pp.decorations[:i] + (Decoration.DOT,)
-                    + pp.decorations[i + 1:])
-            yield PegPermutation(pp.base, decs)
-
-
 def _check_down_set() -> CheckResult:
     # One-step closure implies full closure: any pattern relation factors
-    # into single deletions followed by single sign-weakenings.
+    # into single deletions followed by single sign-weakenings.  The check
+    # reads the states and reductions of the basis sweep: standard balls as
+    # all-bullet pegs, k <= 3 and n <= 6; peg balls k <= 2, n <= 4.
     fails = []
     for model in Model:
-        for k in range(4):
-            balls = [ball(model, k, n) for n in range(1, 7)]
-            for n in range(2, 7):
-                for p in balls[n - 1]:
-                    for idx in range(n):
-                        q = pattern_of(p, (i for i in range(n) if i != idx))
-                        if q not in balls[n - 2]:
-                            fails.append(f"{model.value} k={k}: {q} outside "
-                                         f"ball but pattern of {p}")
-        for k in range(3):
-            peg_balls = [ball(model, k, n, TableKind.PEG) for n in range(1, 5)]
-            for n in range(2, 5):
-                for pp in peg_balls[n - 1]:
-                    for q in _deletions(pp):
-                        if q not in peg_balls[n - 2]:
-                            fails.append(f"{model.value} k={k}: deletion "
-                                         f"{format_peg(q)} of {format_peg(pp)} escapes")
-                    for q in _weakenings(pp):
-                        if q not in peg_balls[n - 1]:
-                            fails.append(f"{model.value} k={k}: weakening "
-                                         f"{format_peg(q)} of {format_peg(pp)} escapes")
+        for level, k_max, n_max in ((_bullet_ball_level, 3, 6),
+                                    (_peg_ball_level, 2, 4)):
+            for k in range(k_max + 1):
+                balls = [level(model, k, n) for n in range(1, n_max + 1)]
+                for n in range(2, n_max + 1):
+                    for key in balls[n - 1]:
+                        for q in _peg_deletions(key):
+                            if q not in balls[n - 2]:
+                                fails.append(f"{model.value} k={k}: deletion "
+                                             f"{_peg_of_key(q)} of {_peg_of_key(key)} escapes")
+                        for q in _peg_weakenings(key):
+                            if q not in balls[n - 1]:
+                                fails.append(f"{model.value} k={k}: weakening "
+                                             f"{_peg_of_key(q)} of {_peg_of_key(key)} escapes")
     return _result("properties", "down-set", fails,
                    "standard balls k <= 3, n <= 6; peg balls k <= 2, n <= 4")
 
@@ -456,27 +438,18 @@ def _check_maximal_generating() -> CheckResult:
                    "rd k <= 2, prd k <= 3")
 
 
-def _has_shorter_cc_pattern(base: Perm, decs: tuple[Decoration, ...]) -> bool:
-    # A weakening turns a sign into a bullet, which can join strips but never
-    # split them, so a clean compact pattern one shorter is a plain deletion.
-    n = len(base)
-    for i, v in enumerate(base):
-        b = tuple(x - (x > v) for x in base[:i] + base[i + 1:])
-        d = decs[:i] + decs[i + 1:]
-        if not any(_linked(b[j], d[j], b[j + 1], d[j + 1]) for j in range(n - 2)):
-            return True
-    return False
-
-
 def _check_reduced_pattern() -> CheckResult:
     # The pegs with no clean compact pattern one shorter must be exactly the
     # recorded gaps; peg_basis_bound for prefix reversals rests on this.
     # Runs on raw (base, decorations) tuples: length 6 alone has 240,592 pegs.
+    # A weakening turns a sign into a bullet, which can join strips but never
+    # split them, so a clean compact pattern one shorter is a plain deletion.
     fails = []
     gaps = set()
     for n in range(2, 7):
         for base, decs in _clean_compact_tuples(n):
-            has = _has_shorter_cc_pattern(base, decs)
+            has = any(map(_is_clean_compact_key,
+                          _peg_deletions(_peg_key(base, decs))))
             if n > 4 and has:
                 continue
             pp = PegPermutation(base, decs)

@@ -178,7 +178,7 @@ def test_criterion_10():
     except ResourceLimitError:
         guarded = True
     capped = m_set(Model.RD, parse_peg("2+ 1+"), 3)
-    ok = guarded and capped.cap_hit and capped.members == frozenset()
+    ok = guarded and capped.no_candidates and capped.members == frozenset()
     line = _report(10, ok, "large-k peg bases and uncapped M-set searches "
                            "are refused with explicit limits; property "
                            "suites stand in for them")

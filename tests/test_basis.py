@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -9,8 +10,8 @@ from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
                            is_peg_basis_member, m_set, peg_basis,
                            peg_basis_bound, standard_basis,
                            standard_basis_bound)
-from pegball.distance import (Model, ResourceLimitError, ball, distance,
-                              distance_peg)
+from pegball.distance import (Model, ResourceLimitError, _bullet_ball_level,
+                              ball, distance, distance_peg)
 from pegball.peg import (ExceptionalKind, PegPermutation,
                          enumerate_clean_compact, format_peg,
                          is_clean_compact, is_compact, parse_peg,
@@ -128,7 +129,7 @@ def test_m_sets_frozen():
     for model, beta, want in reference.M_SETS:
         ms = m_set(Model(model), parse_peg(beta))
         assert ms.members == {parse_perm(t) for t in want}
-        assert not ms.cap_hit
+        assert not ms.no_candidates
 
 
 def test_m_set_target_distance():
@@ -140,7 +141,7 @@ def test_m_set_target_distance():
 
 def test_m_set_length_cap():
     ms = m_set(Model.RD, parse_peg("2+ 1+"), length_cap=3)
-    assert ms.cap_hit
+    assert ms.no_candidates
     assert ms.cap == 3
     assert ms.members == frozenset()
 
@@ -215,6 +216,27 @@ def test_standard_basis_length_cap_and_k_limit():
         standard_basis(Model.RD, 4)
     with pytest.raises(ResourceLimitError):
         standard_basis(Model.PRD, 2, k_limit=1)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_bullet_ball_level_is_standard_ball(model):
+    # the sweep sees B_k(n) as all-bullet peg states
+    for k in range(4):
+        for n in range(7):
+            level = _bullet_ball_level(model, k, n)
+            assert {tuple(b // 3 for b in s) for s in level} == \
+                ball(model, k, n), (k, n)
+            assert all(b % 3 == 2 for s in level for b in s)
+
+
+def test_sweep_past_state_encoding_fails_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no BFS may run before the length check")
+
+    monkeypatch.setattr(sys.modules[ball.__module__], "_frontier_bfs", refuse)
+    assert standard_basis_bound(Model.RD, 8) == 90
+    with pytest.raises(ResourceLimitError, match="sweep length 90"):
+        standard_basis(Model.RD, 8, k_limit=8)
 
 
 def test_standard_basis_members_are_minimal_excluded():

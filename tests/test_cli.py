@@ -175,7 +175,8 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     for argv in (["peg-basis", "--k", "-1"],
-                 ["enumerate", "--k", "1", "--n-max", "-2"]):
+                 ["enumerate", "--k", "1", "--n-max", "-2"],
+                 ["basis", "--k", "1", "--cap", "-1"]):
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 

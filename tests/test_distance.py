@@ -13,8 +13,7 @@ from pegball.distance import (DistanceTable, Model, ResourceLimitError,
                               TableKind, _frontier_bfs,
                               _is_clean_compact_key, _moves, _peg_component,
                               _peg_deletions, _peg_key, _peg_of_key,
-                              _peg_weakenings,
-                              _standard_neighbors, _standard_search,
+                              _peg_weakenings, _standard_search,
                               _standard_table, ball, breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
                               distance_bounded, distance_peg,
@@ -23,7 +22,7 @@ from pegball.distance import (DistanceTable, Model, ResourceLimitError,
 from pegball.peg import (PegPermutation, format_peg, is_clean_compact,
                          oriented_prefix_reversal,
                          oriented_reversal, parse_peg)
-from pegball.perm import identity, parse_perm
+from pegball.perm import identity, parse_perm, prefix_reversal, reversal
 
 
 @pytest.mark.parametrize("model,text,want", sorted(reference.DISTANCES))
@@ -112,12 +111,20 @@ def _assert_bellman(dist, states, goal, neighbours):
             assert dist[s] == 1 + min(dist[t] for t in neighbours(s)), s
 
 
+def _standard_neighbours(model, p):
+    n = len(p)
+    if model is Model.RD:
+        return [reversal(p, i, j)
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [prefix_reversal(p, j) for j in range(2, n + 1)]
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_frontier_bfs_matches_per_state_bfs(model):
     for n in range(9):
         table = _standard_search(model, identity(n))  # turns bottom-up
         _assert_bellman(table, itertools.permutations(identity(n)),
-                        identity(n), lambda p: _standard_neighbors(model, p))
+                        identity(n), lambda p: _standard_neighbours(model, p))
         assert _frontier_bfs([identity(n)], _moves(model, n)) == table, n
 
 
