@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .distance import (_MAX_STATE_VALUE, Model, ResourceLimitError,
-                       _bullet_ball_level, _is_clean_compact_key,
+                       _bullet_ball_level, _check_model, _is_clean_compact_key,
                        _peg_ball_level, _peg_deletions, _peg_of_key,
                        _peg_weakenings, distance_bounded, distance_peg)
 from .inflation import a_set_stream
@@ -48,6 +48,15 @@ __all__ = [
 ]
 
 DEFAULT_K_LIMIT = {Model.RD: 3, Model.PRD: 5}
+
+
+def _check_radius(model: Model, k: int, k_limit: int | None, what: str) -> None:
+    _check_model(model)
+    if k < 0:
+        raise ValueError(f"negative k: {k}")
+    limit = DEFAULT_K_LIMIT[model] if k_limit is None else k_limit
+    if k > limit:
+        raise ResourceLimitError(f"{what} radius {k} exceeds limit", limit)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,7 @@ def peg_basis_bound(model: Model, k: int) -> int:
     >>> peg_basis_bound(Model.PRD, 1)
     4
     """
+    _check_model(model)
     return max(2 * k + 1, 2) if model is Model.RD else max(k + 2, 4)
 
 
@@ -210,11 +220,7 @@ def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
     >>> [str(pp) for pp in peg_basis(Model.PRD, 0).sorted_members()]
     ['1-', '2+ 1.', '2. 1+', '2. 4. 1. 3.', '3. 1. 4. 2.']
     """
-    if k < 0:
-        raise ValueError(f"negative k: {k}")
-    limit = DEFAULT_K_LIMIT[model] if k_limit is None else k_limit
-    if k > limit:
-        raise ResourceLimitError(f"peg basis radius {k} exceeds limit", limit)
+    _check_radius(model, k, k_limit, "peg basis")
     bound = peg_basis_bound(model, k)
     found = _sweep(lambda n: _peg_ball_level(model, k, n), bound, range(3),
                    None if model is Model.RD else _is_clean_compact_key)
@@ -354,6 +360,7 @@ def standard_basis_bound(model: Model, k: int) -> int:
     >>> [standard_basis_bound(Model.PRD, k) for k in range(6)]
     [6, 8, 10, 12, 14, 16]
     """
+    _check_model(model)
     ck = (2 if model is Model.RD else 1) * k
     return max((ck + 3) ** 2 // 4, 2 * ck + 6)
 
@@ -369,11 +376,7 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     >>> sorted(standard_basis(Model.RD, 1), key=lambda p: (len(p), p))
     [(2, 3, 1), (3, 1, 2), (2, 1, 4, 3)]
     """
-    if k < 0:
-        raise ValueError(f"negative k: {k}")
-    limit = DEFAULT_K_LIMIT[model] if k_limit is None else k_limit
-    if k > limit:
-        raise ResourceLimitError(f"basis radius {k} exceeds limit", limit)
+    _check_radius(model, k, k_limit, "basis")
     sweep_to = standard_basis_bound(model, k)
     if length_cap is not None:
         sweep_to = min(length_cap, sweep_to)

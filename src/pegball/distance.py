@@ -374,6 +374,7 @@ def lower_bound(model: Model, pp: PegPermutation) -> int:
     >>> lower_bound(Model.RD, parse_peg("2+ 5- 4+ 1. 3-"))
     2
     """
+    _check_model(model)
     n = len(pp)
     if n == 0:
         return 0
@@ -444,8 +445,7 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     return None
 
 
-def distance_peg_via_inflation(model: Model, pp: PegPermutation, N: int,
-                               *, max_total: int = 64) -> int:
+def distance_peg_via_inflation(model: Model, pp: PegPermutation, N: int) -> int:
     """Distance of the inflation of pp with N on signed elements, 1 on bullets.
 
     Always <= distance_peg(model, pp) because every grid member is; equality
@@ -461,6 +461,7 @@ def distance_peg_via_inflation(model: Model, pp: PegPermutation, N: int,
 
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
+    max_total = 64
     v = tuple(1 if d is DOT else N for d in pp.decorations)
     if sum(v) > max_total:
         raise ResourceLimitError(

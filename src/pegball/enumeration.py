@@ -8,7 +8,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .basis import standard_basis
-from .distance import Model, ResourceLimitError, TableKind, ball
+from .distance import (Model, ResourceLimitError, TableKind, _check_model,
+                       ball)
 from .generators import generating_set
 from .inflation import grid_enumerate
 from .perm import Perm, avoids_all
@@ -69,6 +70,7 @@ def count_ball(model: Model, k: int, n: int,
     >>> count_ball(Model.PRD, 0, 5, CountMethod.AVOID)
     1
     """
+    _check_model(model)
     if k < 0 or n < 0:
         raise ValueError(f"negative parameter: k={k}, n={n}")
     if method is CountMethod.BFS:

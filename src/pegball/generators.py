@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .distance import Model, distance_peg
+from .distance import Model, _check_model, distance_peg
 from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation,
                   is_clean_compact, oriented_reversal, peg_sort_key)
+from .perm import pattern_of
 
 __all__ = [
     "GeneratingSet",
@@ -33,11 +34,6 @@ class GeneratingSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _rescale(keys: list[int], decs: list[Decoration]) -> PegPermutation:
-    ranks = {key: rank + 1 for rank, key in enumerate(sorted(keys))}
-    return PegPermutation(tuple(ranks[key] for key in keys), tuple(decs))
 
 
 def rd_inflate_step(pp: PegPermutation, I: tuple[int, int]) -> PegPermutation:
@@ -78,7 +74,8 @@ def rd_inflate_step(pp: PegPermutation, I: tuple[int, int]) -> PegPermutation:
             block.reverse()
         keys.extend(block)
         decs.extend([d] * len(block))
-    return oriented_reversal(_rescale(keys, decs), i + 1, j + 1)
+    scaled = PegPermutation(pattern_of(keys, range(len(keys))), tuple(decs))
+    return oriented_reversal(scaled, i + 1, j + 1)
 
 
 def rd_generating_set(k: int) -> GeneratingSet:
@@ -166,8 +163,9 @@ def prd_generating_set(k: int) -> GeneratingSet:
 
 @cache
 def generating_set(model: Model, k: int) -> GeneratingSet:
-    """Built once per (model, k) and shared, being frozen; a bad k raises
-    on every call."""
+    """Built once per (model, k) and shared, being frozen; a bad model or k
+    raises on every call."""
+    _check_model(model)
     if model is Model.RD:
         return rd_generating_set(k)
     if k == 0:
@@ -210,6 +208,7 @@ def is_generating(model: Model, k: int, pp: PegPermutation) -> bool:
     >>> is_generating(Model.PRD, 2, parse_peg("2+ 1- 3+"))
     True
     """
+    _check_model(model)
     if model is Model.RD:
         return (len(pp) == 2 * k + 1
                 and is_clean_compact(pp)

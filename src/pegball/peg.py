@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .perm import ParseError, Perm, check_permutation, pattern_of
+from .perm import ParseError, Perm, _occurs, check_permutation, pattern_of
 
 __all__ = [
     "Decoration",
@@ -77,6 +77,9 @@ class StripDirection(Enum):
 
 Strip = tuple[int, int, StripDirection]
 
+_STRIP_DECORATION = {StripDirection.INC: PLUS, StripDirection.DEC: MINUS,
+                     StripDirection.SINGLETON: DOT}
+
 
 @dataclass(frozen=True)
 class PegPermutation:
@@ -134,7 +137,21 @@ def strips(pp: PegPermutation) -> list[Strip]:
     >>> strips(parse_peg("3. 2. 1."))
     [(1, 3, <StripDirection.DEC: 'dec'>)]
     """
-    base, decs = pp.base, pp.decorations
+    return _strips(pp.base, pp.decorations)
+
+
+def perm_strips(p: Perm) -> list[Strip]:
+    """Strips of a standard permutation: maximal runs of consecutive values.
+
+    These are the strips of the all-bullet peg on p.
+
+    >>> perm_strips((3, 2, 4, 5, 1, 6, 7, 8))
+    [(1, 2, <StripDirection.DEC: 'dec'>), (3, 4, <StripDirection.INC: 'inc'>), (5, 5, <StripDirection.SINGLETON: 'singleton'>), (6, 8, <StripDirection.INC: 'inc'>)]
+    """
+    return _strips(p, (DOT,) * len(p))
+
+
+def _strips(base: Perm, decs: tuple[Decoration, ...]) -> list[Strip]:
     n = len(base)
     out: list[Strip] = []
     i = 0
@@ -148,29 +165,6 @@ def strips(pp: PegPermutation) -> list[Strip]:
             direction = StripDirection.INC
         else:
             direction = StripDirection.DEC
-        out.append((i + 1, j + 1, direction))
-        i = j + 1
-    return out
-
-
-def perm_strips(p: Perm) -> list[Strip]:
-    """Strips of a standard permutation: maximal runs of consecutive values.
-
-    >>> perm_strips((3, 2, 4, 5, 1, 6, 7, 8))
-    [(1, 2, <StripDirection.DEC: 'dec'>), (3, 4, <StripDirection.INC: 'inc'>), (5, 5, <StripDirection.SINGLETON: 'singleton'>), (6, 8, <StripDirection.INC: 'inc'>)]
-    """
-    n = len(p)
-    out: list[Strip] = []
-    i = 0
-    while i < n:
-        j = i
-        if j + 1 < n and abs(p[j + 1] - p[j]) == 1:
-            step = p[j + 1] - p[j]
-            while j + 1 < n and p[j + 1] - p[j] == step:
-                j += 1
-            direction = StripDirection.INC if step == 1 else StripDirection.DEC
-        else:
-            direction = StripDirection.SINGLETON
         out.append((i + 1, j + 1, direction))
         i = j + 1
     return out
@@ -216,19 +210,10 @@ def peg_of(p: Perm) -> PegPermutation:
     """
     if not p:
         raise ValueError("peg of the empty permutation is undefined")
-    minima: list[int] = []
-    decs: list[Decoration] = []
-    for start, end, direction in perm_strips(p):
-        minima.append(min(p[start - 1], p[end - 1]))
-        if direction is StripDirection.INC:
-            decs.append(PLUS)
-        elif direction is StripDirection.DEC:
-            decs.append(MINUS)
-        else:
-            decs.append(DOT)
-    ranks = sorted(minima)
-    base = tuple(ranks.index(m) + 1 for m in minima)
-    return PegPermutation(base, tuple(decs))
+    runs = perm_strips(p)
+    minima = [min(p[start - 1], p[end - 1]) for start, end, _ in runs]
+    return PegPermutation(pattern_of(minima, range(len(minima))),
+                          tuple(_STRIP_DECORATION[d] for _, _, d in runs))
 
 
 def oriented_reversal(pp: PegPermutation, i: int, j: int) -> PegPermutation:
@@ -265,33 +250,9 @@ def peg_pattern_contains(sigma: PegPermutation, tau: PegPermutation) -> bool:
     >>> peg_pattern_contains(parse_peg("1+ 2- 3+"), parse_peg("1+ 2. 3+"))
     False
     """
-    k, n = len(sigma), len(tau)
-    if k > n:
-        return False
-    if k == 0:
-        return True
-    sb, sd = sigma.base, sigma.decorations
-    tb, td = tau.base, tau.decorations
-
-    def extend(si: int, start: int, chosen: list[int]) -> bool:
-        if si == k:
-            return True
-        for ti in range(start, n - (k - si) + 1):
-            if sd[si] is not DOT and td[ti] is not sd[si]:
-                continue
-            ok = True
-            for sj, tj in enumerate(chosen):
-                if (sb[sj] < sb[si]) != (tb[tj] < tb[ti]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(ti)
-                if extend(si + 1, ti + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0, [])
+    return _occurs(sigma.base, tau.base,
+                   [None if d is DOT else d for d in sigma.decorations],
+                   tau.decorations)
 
 
 def proper_patterns(pp: PegPermutation) -> set[PegPermutation]:

@@ -7,7 +7,7 @@ tuples; nothing here mutates its arguments.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Perm",
@@ -126,7 +126,9 @@ def pattern_of(p: Perm, positions: Iterable[int]) -> Perm:
 def contains_pattern(sigma: Perm, tau: Perm) -> bool:
     """True iff some subsequence of tau is order-isomorphic to sigma.
 
-    Backtracking subsequence search; fine for the |sigma| <= 8 workloads here.
+    Backtracking over sigma's entries in order, each step one comparison:
+    the value matched to the next entry must lie strictly between the values
+    matched to the earlier entries nearest to it in value.
 
     >>> contains_pattern((2, 3, 1), (3, 2, 4, 1))
     True
@@ -135,29 +137,55 @@ def contains_pattern(sigma: Perm, tau: Perm) -> bool:
     >>> contains_pattern((), (3, 1, 2))
     True
     """
+    return _occurs(sigma, tau)
+
+
+def _occurs(sigma: Perm, tau: Perm, need: Sequence | None = None,
+            marks: Sequence = ()) -> bool:
+    """The search behind contains_pattern and peg.peg_pattern_contains: with
+    need, the match of sigma[i] must also carry the mark need[i] in marks,
+    unless need[i] is None."""
     k, n = len(sigma), len(tau)
     if k > n:
         return False
     if k == 0:
         return True
-
-    def extend(si: int, start: int, chosen: list[int]) -> bool:
+    # lo[i] and hi[i] are the earlier entries of sigma nearest below and
+    # above sigma[i] in value, else k and k + 1, which hold the bounds 0 and
+    # k + 1 of sigma's values in ext and 0 and n + 1 of tau's values in got
+    ext = [*sigma, 0, k + 1]
+    lo, hi = [], []
+    for i, v in enumerate(sigma):
+        below, above = k, k + 1
+        for j in range(i):
+            if ext[below] < sigma[j] < v:
+                below = j
+            elif v < sigma[j] < ext[above]:
+                above = j
+        lo.append(below)
+        hi.append(above)
+    got = [0] * k + [0, n + 1]
+    at = [0] * k  # the position in tau matched to each entry of sigma
+    si = ti = 0
+    while True:
+        low, high = got[lo[si]], got[hi[si]]
+        mark = need[si] if need else None
+        while ti <= n - k + si:
+            t = tau[ti]
+            if low < t < high and (mark is None or marks[ti] is mark):
+                break
+            ti += 1
+        else:
+            if si == 0:
+                return False
+            si -= 1
+            ti = at[si] + 1
+            continue
+        got[si], at[si] = tau[ti], ti
+        si += 1
         if si == k:
             return True
-        for ti in range(start, n - (k - si) + 1):
-            ok = True
-            for sj, tj in enumerate(chosen):
-                if (sigma[sj] < sigma[si]) != (tau[tj] < tau[ti]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(ti)
-                if extend(si + 1, ti + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0, [])
+        ti += 1
 
 
 def avoids_all(basis: Iterable[Perm], p: Perm) -> bool:

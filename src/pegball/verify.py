@@ -31,7 +31,8 @@ from .distance import (Model, TableKind, _bullet_ball_level,
                        pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
-from .inflation import grid_member, legal_vectors, monotone_inflate
+from .inflation import (grid_enumerate, grid_member, legal_vectors,
+                        monotone_inflate)
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
                   _clean_compact_tuples, clean_compact_proper_patterns,
                   enumerate_clean_compact, exceptional, format_peg,
@@ -283,11 +284,7 @@ def _all_pegs(m: int):
 
 
 def _grid_upto(pp: PegPermutation, n_max: int) -> set[Perm]:
-    out: set[Perm] = set()
-    for total in range(1, n_max + 1):
-        for v in legal_vectors(pp, total):
-            out.add(monotone_inflate(pp, v))
-    return out
+    return set().union(*(grid_enumerate((pp,), n) for n in range(1, n_max + 1)))
 
 
 def _random_perm(rng: random.Random, n: int) -> Perm:
@@ -341,15 +338,11 @@ def _check_down_set() -> CheckResult:
 
 def _check_peg_dominates() -> CheckResult:
     fails = []
-    memo: dict[tuple[Model, PegPermutation], int] = {}
     for model in Model:
         for n in range(1, 8):
             for p in permutations(range(1, n + 1)):
                 pp = peg_of(p)
-                key = (model, pp)
-                if key not in memo:
-                    memo[key] = distance_peg(model, pp)
-                if distance(model, p) > memo[key]:
+                if distance(model, p) > distance_peg(model, pp):
                     fails.append(f"{model.value}({format_perm(p)}) > "
                                  f"{model.value}_peg({format_peg(pp)})")
     return _result("properties", "peg-dominates", fails,
@@ -467,7 +460,8 @@ def _check_reduced_pattern() -> CheckResult:
                    "clean compact pattern one shorter")
 
 
-def _check_via_inflation(max_total: int = 20, max_n: int = 8) -> CheckResult:
+def _check_via_inflation() -> CheckResult:
+    max_total, max_n = 20, 8
     fails = []
     count = 0
     for model in Model:

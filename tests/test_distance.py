@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from pegball import reference
+from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
+                           standard_basis_bound)
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
                               TableKind, _frontier_bfs,
                               _is_clean_compact_key, _moves, _peg_component,
@@ -19,6 +21,8 @@ from pegball.distance import (DistanceTable, Model, ResourceLimitError,
                               distance_bounded, distance_peg,
                               distance_peg_via_inflation, get_table,
                               lower_bound, pair_distance)
+from pegball.enumeration import CountMethod, count_ball
+from pegball.generators import generating_set, is_generating
 from pegball.peg import (PegPermutation, format_peg, is_clean_compact,
                          oriented_prefix_reversal,
                          oriented_reversal, parse_peg)
@@ -474,7 +478,15 @@ def test_non_model_rejected():
              lambda: ball("rd", 1, 3),
              lambda: ball("rd", 1, 3, TableKind.PEG),
              lambda: build_table("prd", 3),
-             lambda: build_table("prd", 2, TableKind.PEG)]
+             lambda: build_table("prd", 2, TableKind.PEG),
+             lambda: lower_bound("rd", parse_peg("2+ 5- 4+ 1. 3-")),
+             lambda: generating_set("rd", 1),
+             lambda: is_generating("rd", 1, parse_peg("1+ 2- 3+")),
+             lambda: peg_basis_bound("rd", 1),
+             lambda: standard_basis_bound("rd", 2),
+             lambda: peg_basis("rd", 1),
+             lambda: standard_basis("rd", 1)]
+    calls += [lambda m=m: count_ball("rd", 1, 4, m) for m in CountMethod]
     for call in calls:
         with pytest.raises(TypeError):
             call()

@@ -1,15 +1,18 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pegball.perm import ParseError
 from pegball.peg import (Decoration, ExceptionalKind, PegPermutation,
+                         StripDirection,
                          clean_compact_proper_patterns,
                          enumerate_clean_compact, exceptional, format_peg,
                          is_clean_compact, is_compact, min_inflation,
                          oriented_prefix_reversal, oriented_reversal,
                          parse_peg, peg_of, peg_pattern_contains,
-                         proper_patterns, strips)
+                         perm_strips, proper_patterns, strips)
 
 pegs = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
@@ -40,6 +43,35 @@ def test_parse_peg_rejects(text):
 def test_peg_text_round_trip(args):
     pp = _peg(*args)
     assert parse_peg(format_peg(pp)) == pp
+
+
+def _all_pegs(n):
+    return [_peg(base, decs) for base in permutations(range(1, n + 1))
+            for decs in product("+-.", repeat=n)]
+
+
+def test_peg_pattern_contains_matches_proper_patterns():
+    small = [pp for n in range(4) for pp in _all_pegs(n)]
+    for t in (pp for n in range(5) for pp in _all_pegs(n)):
+        below = proper_patterns(t)
+        for s in small:
+            assert peg_pattern_contains(s, t) == (s == t or s in below), (s, t)
+
+
+def test_perm_strips_are_maximal_unit_step_runs():
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            runs, i = [], 0
+            while i < n:
+                j = i  # the run's last index
+                step = p[i + 1] - p[i] if i + 1 < n else 0
+                while abs(step) == 1 and j + 1 < n and p[j + 1] - p[j] == step:
+                    j += 1
+                runs.append((i + 1, j + 1, StripDirection.SINGLETON if j == i
+                             else StripDirection.INC if step == 1
+                             else StripDirection.DEC))
+                i = j + 1
+            assert perm_strips(p) == runs, p
 
 
 def test_strips_split_on_direction_and_decoration():

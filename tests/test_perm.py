@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,15 @@ def test_pattern_containment_reflexive_and_monotone(p):
     if len(p) > 1:
         q = pattern_of(p, range(len(p) - 1))
         assert contains_pattern(q, p)
+
+
+def test_contains_pattern_matches_subsequence_oracle():
+    small = [p for n in range(5) for p in permutations(range(1, n + 1))]
+    for t in (p for n in range(7) for p in permutations(range(1, n + 1))):
+        for s in small:
+            want = any(pattern_of(t, c) == s
+                       for c in combinations(range(len(t)), len(s)))
+            assert contains_pattern(s, t) == want, (s, t)
 
 
 def test_avoids_all():
