@@ -169,6 +169,7 @@ def _sweep(ball: Callable[[int], Iterable[bytes]], bound: int,
     if bound > _MAX_STATE_VALUE:
         raise ResourceLimitError(f"sweep length {bound} exceeds the state "
                                  f"encoding", _MAX_STATE_VALUE)
+    signed = codes != (2,)  # all-bullet states have no weakenings to order
     found: list[bytes] = []
     below, below_masks = [b""], {}  # D(0); D(-1) has no masks
     for n in range(1, bound + 1):
@@ -180,7 +181,7 @@ def _sweep(ball: Callable[[int], Iterable[bytes]], bound: int,
             pos = c.index(top)
             q = c[:pos] + c[pos + 1:]
             masks[q] = masks.get(q, 0) | 1 << 3 * pos + top % 3
-        for q in sorted(below, reverse=True):
+        for q in sorted(below, reverse=True) if signed else below:
             joined = masks.get(q, 0)
             rest = every & ~joined
             for i, r in enumerate(_peg_deletions(q)):
@@ -189,7 +190,7 @@ def _sweep(ball: Callable[[int], Iterable[bytes]], bound: int,
                 mask = below_masks[r]
                 low = (1 << 3 * i + 3) - 1  # the bits of slots up to i
                 rest &= (mask & low) | (mask << 3 & ~low)
-            for w in _peg_weakenings(q):
+            for w in _peg_weakenings(q) if signed else ():
                 rest &= masks[w]
             while rest:
                 bit = rest.bit_length() - 1

@@ -13,6 +13,7 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -306,11 +307,14 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc.freeze()  # collections during the command skip what existed before it
     try:
         return run(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_OK
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

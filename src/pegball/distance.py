@@ -599,6 +599,7 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
 
 def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
                n: int) -> Path:
+    _check_model(model)
     return Path(cache_dir) / f"{model.value}-{kind.value}-{n}.dist"
 
 

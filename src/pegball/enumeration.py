@@ -12,7 +12,7 @@ from .distance import (Model, ResourceLimitError, TableKind, _check_model,
                        ball)
 from .generators import generating_set
 from .inflation import grid_enumerate
-from .perm import Perm, avoids_all
+from .perm import Perm, _deletions
 
 __all__ = [
     "CountMethod",
@@ -38,8 +38,10 @@ _CLASS_CACHE: dict[tuple[Model, int],
 def _class_members(model: Model, k: int, n: int) -> set[Perm]:
     """Avoiders of the standard basis, grown by inserting each new maximum.
 
-    The class is closed downward, so every length-(m+1) member arises from a
-    length-m member by deleting the maximum value.
+    The class is closed downward, so every length-m member arises from a
+    length-(m-1) member by inserting the value m.  Such a candidate q avoids
+    the basis iff q is not in it and every one-point deletion of q is in
+    level m-1, as every proper pattern of q lies inside one of them.
     """
     basis, levels = _CLASS_CACHE.get((model, k), (None, [{()}]))
     if len(levels) <= n:
@@ -51,7 +53,7 @@ def _class_members(model: Model, k: int, n: int) -> set[Perm]:
             for p in levels[m - 1]:
                 for pos in range(m):
                     q = p[:pos] + (m,) + p[pos:]
-                    if avoids_all(basis, q):
+                    if q not in basis and levels[m - 1].issuperset(_deletions(q)):
                         grown.add(q)
             levels.append(grown)
         _CLASS_CACHE[model, k] = basis, levels

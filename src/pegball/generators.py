@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from .distance import Model, _check_model, distance_peg
 from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation,
@@ -124,13 +125,10 @@ def prd_inflate_step(pp: PegPermutation, i: int) -> PegPermutation:
     if sign is DOT:
         raise ValueError(f"bullet decoration at position {i} of {pp}")
 
-    def bump(values, decorations) -> tuple[list[int], list[Decoration]]:
-        return [v + 1 if v > x else v for v in values], list(decorations)
-
-    alpha_b, alpha_d = bump(pp.base[: i - 1], pp.decorations[: i - 1])
-    beta_b, beta_d = bump(pp.base[i:], pp.decorations[i:])
-    alpha_rb = alpha_b[::-1]
-    alpha_rd = [_FLIP[d] for d in alpha_d[::-1]]
+    bumped = [v + 1 if v > x else v for v in pp.base]
+    alpha_rb = bumped[: i - 1][::-1]
+    alpha_rd = [_FLIP[d] for d in pp.decorations[: i - 1][::-1]]
+    beta_b, beta_d = bumped[i:], list(pp.decorations[i:])
     if sign is PLUS:
         base = [x] + alpha_rb + [x + 1] + beta_b
         decs = [MINUS] + alpha_rd + [PLUS] + beta_d
@@ -176,19 +174,10 @@ def generating_set(model: Model, k: int) -> GeneratingSet:
 
 def _strengthenings(pp: PegPermutation):
     """Proper sign-strengthenings: some bullets replaced by signs."""
-    bullets = [i for i, d in enumerate(pp.decorations) if d is DOT]
-    for mask in range(1, 2 ** len(bullets)):
-        chosen = [i for b, i in enumerate(bullets) if mask >> b & 1]
-        stack = [(0, list(pp.decorations))]
-        while stack:
-            at, decs = stack.pop()
-            if at == len(chosen):
-                yield PegPermutation(pp.base, tuple(decs))
-                continue
-            for sign in (PLUS, MINUS):
-                nd = list(decs)
-                nd[chosen[at]] = sign
-                stack.append((at + 1, nd))
+    pools = [(DOT, PLUS, MINUS) if d is DOT else (d,) for d in pp.decorations]
+    for decs in product(*pools):
+        if decs != pp.decorations:
+            yield PegPermutation(pp.base, decs)
 
 
 def is_generating(model: Model, k: int, pp: PegPermutation) -> bool:

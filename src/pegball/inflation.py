@@ -12,8 +12,8 @@ import itertools
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .peg import DOT, MINUS, PLUS, Decoration, PegPermutation, is_clean_compact
-from .perm import Perm
+from .peg import DOT, MINUS, Decoration, PegPermutation, is_clean_compact
+from .perm import Perm, _deletions
 
 __all__ = [
     "InflationVector",
@@ -32,10 +32,8 @@ InflationVector = tuple[int, ...]
 
 def is_legal(pp: PegPermutation, v: Sequence[int]) -> bool:
     """v has one entry per element, nonnegative, and 0/1 on bullets."""
-    if len(v) != len(pp):
-        return False
-    return all(x >= 0 and (d is not DOT or x <= 1)
-               for x, d in zip(v, pp.decorations))
+    return len(v) == len(pp) and all(x >= 0 and (d is not DOT or x <= 1)
+                                     for x, d in zip(v, pp.decorations))
 
 
 def check_legal(pp: PegPermutation, v: Sequence[int]) -> None:
@@ -43,17 +41,6 @@ def check_legal(pp: PegPermutation, v: Sequence[int]) -> None:
         raise ValueError(f"vector length {len(v)} != peg length {len(pp)}")
     if not is_legal(pp, v):
         raise ValueError(f"illegal inflation vector {tuple(v)} for {pp}")
-
-
-def _value_offsets(pp: PegPermutation, v: Sequence[int]) -> list[int]:
-    """Start of each position's value block; blocks stack in value order."""
-    size_of_value = {w: x for w, x in zip(pp.base, v)}
-    offset_of_value: dict[int, int] = {}
-    acc = 0
-    for w in sorted(size_of_value):
-        offset_of_value[w] = acc
-        acc += size_of_value[w]
-    return [offset_of_value[w] for w in pp.base]
 
 
 def monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> Perm:
@@ -65,12 +52,7 @@ def monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> Perm:
     (3, 4, 1, 2)
     """
     check_legal(pp, v)
-    offsets = _value_offsets(pp, v)
-    out: list[int] = []
-    for i, (off, size) in enumerate(zip(offsets, v)):
-        block = range(off + 1, off + size + 1)
-        out.extend(reversed(block) if pp.decorations[i] is MINUS else block)
-    return tuple(out)
+    return next(_inflations(pp.base, pp.decorations, v, sum(v)))
 
 
 def peg_monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> set[PegPermutation]:
@@ -86,18 +68,9 @@ def peg_monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> set[PegPermuta
     True
     """
     base = monotone_inflate(pp, v)
-    choices: list[tuple[tuple[Decoration, ...], ...]] = []
-    for d, size in zip(pp.decorations, v):
-        if d is DOT:
-            choices.append(((DOT,) * size,))
-        else:
-            pool = (PLUS, DOT) if d is PLUS else (MINUS, DOT)
-            choices.append(tuple(itertools.product(pool, repeat=size)))
-    out: set[PegPermutation] = set()
-    for parts in itertools.product(*choices):
-        decs = tuple(itertools.chain.from_iterable(parts))
-        out.add(PegPermutation(base, decs))
-    return out
+    pools = [(DOT,) if d is DOT else (d, DOT)
+             for d, size in zip(pp.decorations, v) for _ in range(size)]
+    return {PegPermutation(base, decs) for decs in itertools.product(*pools)}
 
 
 def _blocks_consistent(pp: PegPermutation,
@@ -205,18 +178,53 @@ def legal_vectors(pp: PegPermutation, total: int) -> Iterator[InflationVector]:
                          total)
 
 
+def _inflations(base: Perm, decorations: Sequence[str], floor: Sequence[int],
+                total: int) -> Iterator[Perm]:
+    """The inflations of base by the vectors v >= floor summing to total that
+    exceed floor on signs only: entry i becomes v[i] consecutive values,
+    falling for a - entry, and the blocks stack in base-value order."""
+    spare = total - sum(floor)
+    by_value = sorted(range(len(base)), key=base.__getitem__)
+    start = [0] * len(base)
+    for extra in _compositions([0 if d == DOT else spare for d in decorations],
+                               spare):
+        sizes = list(map(add, floor, extra))
+        acc = 0
+        for i in by_value:
+            start[i], acc = acc, acc + sizes[i]
+        yield tuple(itertools.chain.from_iterable(
+            range(lo + size, lo, -1) if d == MINUS else range(lo + 1, lo + size + 1)
+            for lo, size, d in zip(start, sizes, decorations)))
+
+
 def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
     """All length-n members of the union of the pegs' grid classes.
+
+    Each distinct sub-peg (reached by one-point deletions, which rescale the
+    base and keep the other decorations) is inflated once, by the strictly
+    positive legal vectors: 1 on bullets, at least 1 on signs.  That is the
+    union of pp[v] over the pegs pp and their legal vectors v of total n:
+    with S the support of v and sigma the pattern of pp on S, a zero block
+    adds no values and the other blocks keep their relative value order, so
+    pp[v] = sigma[v restricted to S]; conversely a positive vector of a
+    sub-peg, padded with zeros on the deleted entries, is legal for pp.
 
     >>> sorted(grid_enumerate({PegPermutation((1, 2, 3), "+-+")}, 3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     >>> grid_enumerate({PegPermutation((1,), "+")}, 4)
     {(1, 2, 3, 4)}
     """
+    seen = {(pp.base, "".join(pp.decorations)) for pp in pegs}
+    todo = list(seen)
     out: set[Perm] = set()
-    for pp in pegs:
-        for v in legal_vectors(pp, n):
-            out.add(monotone_inflate(pp, v))
+    while todo:
+        base, decs = todo.pop()
+        if len(base) <= n:
+            out.update(_inflations(base, decs, [1] * len(base), n))
+        fresh = {(r, decs[:i] + decs[i + 1:])
+                 for i, r in enumerate(_deletions(base))} - seen
+        seen |= fresh
+        todo += fresh
     return out
 
 
@@ -224,7 +232,8 @@ def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:
     """The permutations whose peg is beta, up to the given length.
 
     These are the inflations of beta with multiplicity >= 2 on signed
-    elements and exactly 1 on bullets. Emitted ascending by length, then
+    elements and exactly 1 on bullets, one per vector (the blocks are the
+    strips: basis.m_set_source, (1)).  Emitted ascending by length, then
     lexicographically.
 
     >>> list(a_set_stream(PegPermutation((2, 1), "++"), 4))
@@ -236,8 +245,4 @@ def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:
         raise ValueError(f"not clean compact: {beta}")
     floor = [1 if d is DOT else 2 for d in beta.decorations]
     for length in range(sum(floor), max_total_length + 1):
-        spare = length - sum(floor)
-        caps = [0 if d is DOT else spare for d in beta.decorations]
-        batch = {monotone_inflate(beta, tuple(map(add, floor, extra)))
-                 for extra in _compositions(caps, spare)}
-        yield from sorted(batch)
+        yield from sorted(_inflations(beta.base, beta.decorations, floor, length))

@@ -191,11 +191,9 @@ def is_compact(pp: PegPermutation) -> bool:
     >>> is_compact(parse_peg("3+ 4. 1- 5- 2+"))
     False
     """
-    for start, end, direction in strips(pp):
-        if direction is not StripDirection.SINGLETON:
-            if any(pp.decorations[i] is not DOT for i in range(start - 1, end)):
-                return False
-    return True
+    return all(direction is StripDirection.SINGLETON
+               or all(d is DOT for d in pp.decorations[start - 1:end])
+               for start, end, direction in strips(pp))
 
 
 def peg_of(p: Perm) -> PegPermutation:
@@ -307,13 +305,8 @@ def exceptional_t(kind: ExceptionalKind, n: int) -> int:
 
 
 def _interleave(first: Iterable[int], second: Iterable[int]) -> list[int]:
-    out: list[int] = []
-    for a, b in itertools.zip_longest(first, second):
-        if a is not None:
-            out.append(a)
-        if b is not None:
-            out.append(b)
-    return out
+    return [x for pair in itertools.zip_longest(first, second)
+            for x in pair if x is not None]
 
 
 def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:

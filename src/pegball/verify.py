@@ -394,14 +394,11 @@ def _check_plusone_cover() -> CheckResult:
             if is_clean_compact(pp) and Decoration.DOT not in pp.decorations:
                 alphas.setdefault(format_peg(pp), pp)
     for key, alpha in sorted(alphas.items()):
-        lhs: set[Perm] = set()
-        for g in _grid_upto(alpha, 6):
-            for i in range(1, len(g) + 1):
-                for j in range(i, len(g) + 1):
-                    lhs.add(reversal(g, i, j))
-        rhs: set[Perm] = set()
-        for I in combinations_with_replacement(range(1, len(alpha) + 1), 2):
-            rhs |= _grid_upto(rd_inflate_step(alpha, I), 6)
+        lhs = {reversal(g, i, j) for g in _grid_upto(alpha, 6)
+               for i in range(1, len(g) + 1) for j in range(i, len(g) + 1)}
+        rhs = set().union(*(
+            _grid_upto(rd_inflate_step(alpha, I), 6)
+            for I in combinations_with_replacement(range(1, len(alpha) + 1), 2)))
         if lhs != rhs:
             fails.append(f"{key}: {len(lhs - rhs)} missing, "
                          f"{len(rhs - lhs)} extra")
@@ -469,12 +466,10 @@ def _check_via_inflation() -> CheckResult:
             for pp in _all_pegs(m):
                 count += 1
                 d = distance_peg(model, pp)
-                signed = sum(1 for dec in pp.decorations
-                             if dec is not Decoration.DOT)
-                bullets = len(pp) - signed
+                signed = sum(dec is not Decoration.DOT for dec in pp.decorations)
                 values = []
                 for n in range(1, max_n + 1):
-                    if signed * n + bullets > max_total:
+                    if signed * n + len(pp) - signed > max_total:
                         break
                     values.append(distance_peg_via_inflation(model, pp, n))
                     if signed == 0:

@@ -479,6 +479,7 @@ def test_non_model_rejected():
              lambda: ball("rd", 1, 3, TableKind.PEG),
              lambda: build_table("prd", 3),
              lambda: build_table("prd", 2, TableKind.PEG),
+             lambda: cache_path("cache", "rd", TableKind.STANDARD, 3),
              lambda: lower_bound("rd", parse_peg("2+ 5- 4+ 1. 3-")),
              lambda: generating_set("rd", 1),
              lambda: is_generating("rd", 1, parse_peg("1+ 2- 3+")),

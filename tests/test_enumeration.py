@@ -1,8 +1,9 @@
 import pytest
 
 from pegball import reference
-from pegball.distance import Model, ResourceLimitError
-from pegball.enumeration import CountMethod, count_ball, sequence
+from pegball.distance import Model, ResourceLimitError, ball
+from pegball.enumeration import (CountMethod, _class_members, count_ball,
+                                 sequence)
 
 
 def test_frozen_sequences():
@@ -25,6 +26,15 @@ def test_methods_agree(model, k):
         grid = count_ball(model, k, n, CountMethod.GRID)
         avoid = count_ball(model, k, n, CountMethod.AVOID)
         assert bfs == grid == avoid, (model, k, n)
+
+
+@pytest.mark.parametrize("model,k", [(Model.RD, 0), (Model.RD, 1),
+                                     (Model.RD, 2), (Model.PRD, 0),
+                                     (Model.PRD, 1), (Model.PRD, 2),
+                                     (Model.PRD, 3)])
+def test_avoid_levels_are_bfs_balls(model, k):
+    for n in range(9):
+        assert _class_members(model, k, n) == ball(model, k, n), n
 
 
 def test_prd_k2_quadratic_law():

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from pegball.distance import Model
+from pegball.generators import generating_set
 from pegball.inflation import (a_set_stream, check_legal, grid_enumerate,
                                grid_member, grid_member_peg, is_legal,
                                legal_vectors, monotone_inflate,
@@ -75,6 +77,52 @@ def test_grid_enumerate_matches_grid_member():
         want = {p for p in map(tuple, itertools.permutations(range(1, n + 1)))
                 if any(grid_member(g, p) for g in gens)}
         assert got == want
+
+
+def _grid_union_oracle(pegs, n):
+    return {monotone_inflate(pp, v) for pp in pegs for v in legal_vectors(pp, n)}
+
+
+@pytest.mark.parametrize("model,k,n_max", [
+    (Model.RD, 0, 8), (Model.RD, 1, 8), (Model.RD, 2, 8), (Model.RD, 3, 6),
+    (Model.PRD, 0, 6), (Model.PRD, 1, 6), (Model.PRD, 2, 6), (Model.PRD, 3, 6),
+    (Model.PRD, 4, 6), (Model.PRD, 5, 6)])
+def test_grid_enumerate_matches_legal_vector_union(model, k, n_max):
+    gens = generating_set(model, k).members
+    for n in range(n_max + 1):
+        assert grid_enumerate(gens, n) == _grid_union_oracle(gens, n), n
+
+
+def test_grid_enumerate_edge_cases():
+    gens = {parse_peg("1+ 2- 3+"), parse_peg("2. 1.")}
+    assert grid_enumerate(gens, 0) == {()}
+    assert grid_enumerate({parse_peg("1.")}, 0) == {()}
+    assert grid_enumerate(set(), 0) == set()
+    assert grid_enumerate(set(), 3) == set()
+    assert grid_enumerate(iter(gens), 2) == _grid_union_oracle(gens, 2)
+    empty = PegPermutation((), ())
+    assert grid_enumerate({empty}, 0) == {()}
+    assert grid_enumerate({empty}, 1) == set()
+    # an all-bullet peg holds only its own patterns, none longer
+    bullets = parse_peg("2. 4. 1. 3.")
+    for n in range(6):
+        assert grid_enumerate({bullets}, n) == _grid_union_oracle({bullets}, n)
+    assert grid_enumerate({bullets}, 4) == {(2, 4, 1, 3)}
+    assert grid_enumerate({bullets}, 5) == set()
+
+
+def test_grid_enumerate_long_pegs():
+    # longer than a peg state byte can hold (values up to 84)
+    n_long = 100
+    up = PegPermutation(tuple(range(1, n_long + 1)), "+" * n_long)
+    down = PegPermutation(tuple(range(1, n_long + 1)), "-" * n_long)
+    assert grid_enumerate({up}, 5) == {(1, 2, 3, 4, 5)}
+    for n in range(5):
+        short = PegPermutation(tuple(range(1, n + 1)), "-" * n)
+        assert grid_enumerate({down}, n) == _grid_union_oracle({short}, n)
+    falling = PegPermutation(tuple(range(n_long, 0, -1)), "." * n_long)
+    assert grid_enumerate({falling}, n_long) == {falling.base}
+    assert grid_enumerate({falling}, 3) == {(3, 2, 1)}
 
 
 def test_grid_member_peg():
