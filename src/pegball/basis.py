@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .distance import (_MAX_STATE_VALUE, Model, ResourceLimitError,
-                       _bullet_ball_level, _check_model, _is_clean_compact_key,
-                       _peg_ball_level, _peg_deletions, _peg_of_key,
-                       _peg_weakenings, distance_bounded, distance_peg)
+from .distance import (Model, ResourceLimitError, _bullet_ball_level,
+                       _check_model, _peg_ball_level, distance_bounded,
+                       distance_peg)
 from .inflation import a_set_stream
-from .peg import (ExceptionalKind, PegPermutation,
-                  clean_compact_proper_patterns, exceptional,
+from .peg import (_MAX_STATE_VALUE, ExceptionalKind, PegPermutation,
+                  _is_clean_compact_key, _peg_deletions, _peg_of_key,
+                  _peg_weakenings, clean_compact_proper_patterns, exceptional,
                   is_clean_compact, peg_of, peg_sort_key, proper_patterns)
 from .perm import Perm, minimal_elements
 

@@ -9,18 +9,19 @@ move with map and filterfalse.
   dict.  Once the frontier outgrows half the unvisited states, a full-table
   build turns bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited
   permutation joins the layer when some move maps it onto the frontier.
-- Peg states are bytes, one byte per entry, so a move is a few C-level
-  slices and a translate.  Bullet values are invariant under oriented
-  reversals, so the peg state space splits by (length, bullet-value set)
-  and each component holds a single goal state.
+- Peg states are the bytes encoding owned by pegball.peg, one byte per
+  entry, so a move (peg._oriented) is a few C-level slices and a
+  translate.  Bullet values are invariant under oriented reversals, so the
+  peg state space splits by (length, bullet-value set) and each component
+  holds a single goal state.
 
 Bounded iterative-deepening A* with breakpoint heuristics gives one-off
 distances of permutations too long for tables.
 
 A cache directory only persists the memoized tables: its file holds the
-distances in rank order (lexicographic on permutations), seeds the dict on
-first use and is written from the dict when missing or corrupt.  Reads
-always go to the dict.
+distances in rank order (lexicographic on permutations) under a header
+with their CRC-32, seeds the dict on first use and is written from the
+dict when missing or corrupt.  Reads always go to the dict.
 
 A warm read is one memo probe and one table read: distance() memoizes its
 table per (model, n, cache_dir), where a hit is exactly a valid permutation,
@@ -31,17 +32,18 @@ A miss runs every check, and only a miss reads PEGBALL_CACHE.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import compress, filterfalse, permutations, product, repeat
 from math import factorial
-from operator import add, itemgetter, not_
+from operator import itemgetter, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
-from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation, _linked,
-                  strips)
+from .peg import (_UNSIGN, DOT, MINUS, PegPermutation, _oriented, _peg_key,
+                  _peg_of_key, strips)
 from .perm import Perm, check_permutation, identity
 
 __all__ = [
@@ -125,72 +127,9 @@ def _moves(model: Model, n: int) -> list[itemgetter]:
             for i, j in _blocks(model, n, 2)]
 
 
-# A peg state is the bytes key 3*value + code per entry; the decoration
-# codes are the positions in _CODES.  Only the functions from _peg_key to
-# the moves below, the ball levels and basis._sweep read or write keys.
-_CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
-_ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
-_KEY_BYTES = range(3, 3 * HARD_LIMIT_PEG + 3)
-_TRIPLE = bytes.maketrans(bytes(range(HARD_LIMIT_PEG + 1)),
-                          bytes(range(0, 3 * HARD_LIMIT_PEG + 3, 3)))
-_FLIP_BYTES = bytes.maketrans(
-    bytes(_KEY_BYTES),
-    bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
-# a state with its - codes made +, sorted, is the goal of its component
-_UNSIGN = bytes.maketrans(bytes(range(4, 3 * HARD_LIMIT_PEG + 3, 3)),
-                          bytes(range(3, 3 * HARD_LIMIT_PEG + 3, 3)))
-
-
-def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
-    """The peg state of base decorated by decorations (members or chars)."""
-    return bytes(map(add, bytes(base).translate(_TRIPLE),
-                     "".join(decorations).encode().translate(_ENCODE)))
-
-
-def _peg_of_key(key: bytes) -> PegPermutation:
-    return PegPermutation(tuple(b // 3 for b in key),
-                          tuple(_CODES[b % 3] for b in key))
-
-
-# the largest value a state byte holds with every code: 3 * 84 + 2 = 254
-_MAX_STATE_VALUE = 84
-
-
-@cache
-def _drop(v: int) -> bytes:
-    """The translation that renumbers the values above v once v is deleted."""
-    return bytes(b - 3 * (b // 3 > v) for b in range(256))
-
-
-# adjacent state bytes whose entries share a strip
-_LINKED = frozenset((a, b) for a in _KEY_BYTES for b in _KEY_BYTES
-                    if _linked(a // 3, _CODES[a % 3], b // 3, _CODES[b % 3]))
-
-
-def _peg_deletions(key: bytes) -> Iterator[bytes]:
-    """The one-point deletions of a peg state."""
-    for i, b in enumerate(key):
-        yield (key[:i] + key[i + 1:]).translate(_drop(b // 3))
-
-
-def _peg_weakenings(key: bytes) -> Iterator[bytes]:
-    """The peg state with one sign weakened to a bullet, for each sign.
-    Each is greater than key, as one byte grows."""
-    for i, b in enumerate(key):
-        if b % 3 != 2:
-            yield key[:i] + bytes((b - b % 3 + 2,)) + key[i + 1:]
-
-
-def _is_clean_compact_key(key: bytes) -> bool:
-    return _LINKED.isdisjoint(zip(key, key[1:]))
-
-
 def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
-    """Each oriented move on peg keys: reverse a block and flip its signs."""
-    def oriented(i: int, j: int) -> Callable[[bytes], bytes]:
-        return lambda s: s[:i] + s[i:j][::-1].translate(_FLIP_BYTES) + s[j:]
-
-    return [oriented(i, j) for i, j in _blocks(model, n, 1)]
+    """Each oriented move on peg states: reverse a block and flip its signs."""
+    return [_oriented(i, j) for i, j in _blocks(model, n, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +444,7 @@ def _peg_ball_level(model: Model, k: int, n: int,
 
 
 def _bullet_ball_level(model: Model, k: int, n: int) -> dict[bytes, int]:
-    """B_k(n) as all-bullet peg states (n <= _MAX_STATE_VALUE): the peg ball
+    """B_k(n) as all-bullet peg states (n <= peg._MAX_STATE_VALUE): the peg ball
     of the all-bullet identity, as oriented moves never flip a bullet."""
     return _frontier_bfs([bytes(range(5, 3 * n + 3, 3))],
                          _peg_moves(model, n), k)
@@ -521,7 +460,8 @@ class DistanceTable:
     data: bytes
 
     def header(self) -> str:
-        return f"PEGBALL-DIST v1 {self.model.value} {self.kind.value} {self.n}"
+        return (f"PEGBALL-DIST v2 {self.model.value} {self.kind.value} "
+                f"{self.n} {zlib.crc32(self.data):08x}")
 
     def save(self, path: str | Path) -> None:
         """Write atomically: temp file in the target directory, then rename.
@@ -548,8 +488,10 @@ class DistanceTable:
             header = fh.readline().decode().strip()
             data = fh.read()
         fields = header.split()
-        if len(fields) != 5 or fields[0] != "PEGBALL-DIST" or fields[1] != "v1":
+        if len(fields) != 6 or fields[0] != "PEGBALL-DIST" or fields[1] != "v2":
             raise ValueError(f"bad table header: {header!r}")
+        if zlib.crc32(data) != int(fields[5], 16):
+            raise ValueError(f"checksum mismatch in {header!r}")
         model, kind, n = Model(fields[2]), TableKind(fields[3]), int(fields[4])
         expected = factorial(n) * (3 ** n if kind is TableKind.PEG else 1)
         if len(data) != expected:

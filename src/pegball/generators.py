@@ -9,7 +9,7 @@ from functools import cache
 from itertools import product
 
 from .distance import Model, _check_model, distance_peg
-from .peg import (_FLIP, DOT, MINUS, PLUS, Decoration, PegPermutation,
+from .peg import (DOT, MINUS, PLUS, Decoration, PegPermutation,
                   is_clean_compact, oriented_reversal, peg_sort_key)
 from .perm import pattern_of
 
@@ -125,17 +125,13 @@ def prd_inflate_step(pp: PegPermutation, i: int) -> PegPermutation:
     if sign is DOT:
         raise ValueError(f"bullet decoration at position {i} of {pp}")
 
-    bumped = [v + 1 if v > x else v for v in pp.base]
-    alpha_rb = bumped[: i - 1][::-1]
-    alpha_rd = [_FLIP[d] for d in pp.decorations[: i - 1][::-1]]
-    beta_b, beta_d = bumped[i:], list(pp.decorations[i:])
-    if sign is PLUS:
-        base = [x] + alpha_rb + [x + 1] + beta_b
-        decs = [MINUS] + alpha_rd + [PLUS] + beta_d
-    else:
-        base = [x + 1] + alpha_rb + [x] + beta_b
-        decs = [PLUS] + alpha_rd + [MINUS] + beta_d
-    return PegPermutation(tuple(base), tuple(decs))
+    # x^s grows into the pair x, x+1 running the way of s; the oriented
+    # prefix reversal through its first entry then gives the result
+    bumped = tuple(v + 1 if v > x else v for v in pp.base)
+    pair = (x, x + 1) if sign is PLUS else (x + 1, x)
+    scaled = PegPermutation(bumped[: i - 1] + pair + bumped[i:],
+                            pp.decorations[:i] + pp.decorations[i - 1:])
+    return oriented_reversal(scaled, 1, i)
 
 
 def prd_generating_set(k: int) -> GeneratingSet:

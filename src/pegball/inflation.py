@@ -9,10 +9,12 @@ rescaled so the result is a standard permutation.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .peg import DOT, MINUS, Decoration, PegPermutation, is_clean_compact
+from .peg import (DOT, MINUS, Decoration, PegPermutation, _closure,
+                  is_clean_compact)
 from .perm import Perm, _deletions
 
 __all__ = [
@@ -214,18 +216,21 @@ def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
     >>> grid_enumerate({PegPermutation((1,), "+")}, 4)
     {(1, 2, 3, 4)}
     """
-    seen = {(pp.base, "".join(pp.decorations)) for pp in pegs}
-    todo = list(seen)
     out: set[Perm] = set()
-    while todo:
-        base, decs = todo.pop()
+    for base, decs in _sub_pegs(frozenset(pegs)):
         if len(base) <= n:
             out.update(_inflations(base, decs, [1] * len(base), n))
-        fresh = {(r, decs[:i] + decs[i + 1:])
-                 for i, r in enumerate(_deletions(base))} - seen
-        seen |= fresh
-        todo += fresh
     return out
+
+
+@cache
+def _sub_pegs(pegs: frozenset[PegPermutation]) -> frozenset[tuple[Perm, str]]:
+    """The pegs closed under one-point deletion as (base, decorations) tuples,
+    which hold pegs of any length, unlike peg states; memoized per set."""
+    return frozenset(_closure(
+        {(pp.base, "".join(pp.decorations)) for pp in pegs},
+        lambda peg: ((r, peg[1][:i] + peg[1][i + 1:])
+                     for i, r in enumerate(_deletions(peg[0])))))
 
 
 def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:

@@ -4,6 +4,11 @@ The bullet is rendered "." in canonical ASCII; the UTF-8 characters for the
 bullet and the minus sign are accepted on input. Text grammar: tokens
 separated by single spaces, each token a decimal value immediately followed
 by its decoration, e.g. "3+ 4. 1- 5- 2+".
+
+This module owns the peg state, the encoding the searches run on: bytes,
+one byte 3*value + code per entry.  Pattern closures, clean compact
+enumeration and oriented moves run on states alone; the PegPermutation
+functions decode their results.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import cache
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import ParseError, Perm, _occurs, check_permutation, pattern_of
 
@@ -126,6 +133,95 @@ def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
     return False
 
 
+# Peg states: the codes are the positions in _CODES.  Outside this module,
+# only distance's searches, basis._sweep and verify's checks read states.
+_CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
+# the largest value a state byte holds with every code: 3 * 84 + 2 = 254
+_MAX_STATE_VALUE = 84
+_ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
+_KEY_BYTES = range(3, 3 * _MAX_STATE_VALUE + 3)
+_TRIPLE = bytes.maketrans(bytes(range(_MAX_STATE_VALUE + 1)),
+                          bytes(range(0, 3 * _MAX_STATE_VALUE + 3, 3)))
+_FLIP_BYTES = bytes.maketrans(
+    bytes(_KEY_BYTES),
+    bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
+# a state with its - codes made +, sorted, is the goal of its component
+_UNSIGN = bytes.maketrans(bytes(_KEY_BYTES[1::3]), bytes(_KEY_BYTES[::3]))
+# adjacent state bytes whose entries share a strip (consecutive values only)
+_LINKED = frozenset(
+    (a, b) for v in range(1, _MAX_STATE_VALUE)
+    for c, d in itertools.product(range(3), repeat=2)
+    for a, b in ((3 * v + c, 3 * v + 3 + d), (3 * v + 3 + d, 3 * v + c))
+    if _linked(a // 3, _CODES[a % 3], b // 3, _CODES[b % 3]))
+
+
+def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
+    """The peg state of base decorated by decorations (members or chars)."""
+    if len(base) > _MAX_STATE_VALUE:
+        raise ValueError(f"peg states hold at most {_MAX_STATE_VALUE} entries")
+    return bytes(map(add, bytes(base).translate(_TRIPLE),
+                     "".join(decorations).encode().translate(_ENCODE)))
+
+
+def _peg_of_key(key: bytes) -> PegPermutation:
+    return PegPermutation(tuple(b // 3 for b in key),
+                          tuple(_CODES[b % 3] for b in key))
+
+
+@cache
+def _drop(v: int) -> bytes:
+    """The translation that renumbers the values above v once v is deleted."""
+    return bytes(b - 3 * (b // 3 > v) for b in range(256))
+
+
+def _peg_deletions(key: bytes) -> Iterator[bytes]:
+    """The one-point deletions of a peg state."""
+    for i, b in enumerate(key):
+        yield (key[:i] + key[i + 1:]).translate(_drop(b // 3))
+
+
+def _peg_weakenings(key: bytes) -> Iterator[bytes]:
+    """The peg state with one sign weakened to a bullet, for each sign.
+    Each is greater than key, as one byte grows."""
+    for i, b in enumerate(key):
+        if b % 3 != 2:
+            yield key[:i] + bytes((b - b % 3 + 2,)) + key[i + 1:]
+
+
+def _is_clean_compact_key(key: bytes) -> bool:
+    return _LINKED.isdisjoint(zip(key, key[1:]))
+
+
+def _closure(keys: set, step: Callable) -> set:
+    """keys and every state that repeated steps reach from them."""
+    out = level = set(keys)
+    while level:
+        level = {r for s in level for r in step(s)} - out
+        out |= level
+    return out
+
+
+def _pattern_keys(key: bytes) -> set[bytes]:
+    """The states strictly below key in pattern order: the weakenings of its
+    deletions, as every pattern relation factors into one-point deletions
+    followed by single-sign weakenings.  A step shortens a state or grows a
+    byte, so no step returns to key."""
+    return _closure(_closure({key}, _peg_deletions), _peg_weakenings) - {key}
+
+
+def _clean_compact_keys(n: int) -> Iterator[bytes]:
+    """The clean compact states of length n, in enumerate_clean_compact's
+    order: base lexicographic, then codes with + < - < bullet."""
+    for base in itertools.permutations(range(3, 3 * n + 3, 3)):
+        yield from filter(_is_clean_compact_key, map(bytes, itertools.product(
+            *(range(t, t + 3) for t in base))))
+
+
+def _oriented(i: int, j: int) -> Callable[[bytes], bytes]:
+    """The oriented move on states: reverse the block [i, j), flip its signs."""
+    return lambda s: s[:i] + s[i:j][::-1].translate(_FLIP_BYTES) + s[j:]
+
+
 def strips(pp: PegPermutation) -> list[Strip]:
     """Maximal runs of consecutive values with compatible decorations.
 
@@ -178,9 +274,7 @@ def is_clean_compact(pp: PegPermutation) -> bool:
     >>> is_clean_compact(parse_peg("3. 4. 1- 5- 2+"))
     False
     """
-    base, decs = pp.base, pp.decorations
-    return not any(_linked(base[i], decs[i], base[i + 1], decs[i + 1])
-                   for i in range(len(base) - 1))
+    return len(strips(pp)) == len(pp)
 
 
 def is_compact(pp: PegPermutation) -> bool:
@@ -224,11 +318,7 @@ def oriented_reversal(pp: PegPermutation, i: int, j: int) -> PegPermutation:
     """
     if not (1 <= i <= j <= len(pp)):
         raise IndexError(f"reversal indices out of range: i={i}, j={j}, n={len(pp)}")
-    base = pp.base[: i - 1] + pp.base[i - 1 : j][::-1] + pp.base[j:]
-    decs = (pp.decorations[: i - 1]
-            + tuple(_FLIP[d] for d in pp.decorations[i - 1 : j][::-1])
-            + pp.decorations[j:])
-    return PegPermutation(base, decs)
+    return _peg_of_key(_oriented(i - 1, j)(_peg_key(pp.base, pp.decorations)))
 
 
 def oriented_prefix_reversal(pp: PegPermutation, j: int) -> PegPermutation:
@@ -262,22 +352,7 @@ def proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
     >>> sorted(str(q) for q in proper_patterns(parse_peg("2+ 1.")))
     ['', '1+', '1.', '2. 1.']
     """
-    n = len(pp)
-    out: set[PegPermutation] = set()
-    for mask in range(2 ** n):
-        positions = [i for i in range(n) if mask >> i & 1]
-        base = pattern_of(pp.base, positions)
-        kept = tuple(pp.decorations[i] for i in positions)
-        signed = [i for i, d in enumerate(kept) if d is not DOT]
-        for weak in range(2 ** len(signed)):
-            decs = list(kept)
-            for b, i in enumerate(signed):
-                if weak >> b & 1:
-                    decs[i] = DOT
-            cand = PegPermutation(base, tuple(decs))
-            if cand != pp:
-                out.add(cand)
-    return out
+    return set(map(_peg_of_key, _pattern_keys(_peg_key(pp.base, pp.decorations))))
 
 
 def clean_compact_proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
@@ -286,7 +361,9 @@ def clean_compact_proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
     >>> sorted(str(q) for q in clean_compact_proper_patterns(parse_peg("2+ 1.")))
     ['', '1+', '1.']
     """
-    return {q for q in proper_patterns(pp) if is_clean_compact(q)}
+    return {_peg_of_key(s)
+            for s in _pattern_keys(_peg_key(pp.base, pp.decorations))
+            if _is_clean_compact_key(s)}
 
 
 class ExceptionalKind(Enum):
@@ -371,26 +448,7 @@ def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
-    if n == 0:
-        yield PegPermutation((), ())
-        return
-    for base, decs in _clean_compact_tuples(n):
-        yield PegPermutation(base, decs)
-
-
-def _clean_compact_tuples(n: int) -> Iterator[tuple[Perm, tuple[Decoration, ...]]]:
-    """(base, decorations) of each clean compact peg of length n >= 1.
-
-    Same order as enumerate_clean_compact, without building PegPermutations.
-    """
-    order = (PLUS, MINUS, DOT)
-    for base in itertools.permutations(range(1, n + 1)):
-        consecutive = [abs(base[i + 1] - base[i]) == 1 for i in range(n - 1)]
-        for decs in itertools.product(order, repeat=n):
-            if any(consecutive[i] and _linked(base[i], decs[i], base[i + 1], decs[i + 1])
-                   for i in range(n - 1)):
-                continue
-            yield base, decs
+    yield from map(_peg_of_key, _clean_compact_keys(n))
 
 
 def parse_peg(text: str) -> PegPermutation:

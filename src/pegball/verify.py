@@ -24,17 +24,16 @@ from math import factorial
 from . import reference
 from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
                     peg_basis_bound, standard_basis)
-from .distance import (Model, TableKind, _bullet_ball_level,
-                       _is_clean_compact_key, _peg_ball_level, _peg_deletions,
-                       _peg_key, _peg_of_key, _peg_weakenings, ball, distance,
-                       distance_peg, distance_peg_via_inflation, lower_bound,
-                       pair_distance)
+from .distance import (Model, TableKind, _bullet_ball_level, _peg_ball_level,
+                       ball, distance, distance_peg, distance_peg_via_inflation,
+                       lower_bound, pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
 from .inflation import (grid_enumerate, grid_member, legal_vectors,
                         monotone_inflate)
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
-                  _clean_compact_tuples, clean_compact_proper_patterns,
+                  _clean_compact_keys, _is_clean_compact_key, _peg_deletions,
+                  _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
                   enumerate_clean_compact, exceptional, format_peg,
                   is_clean_compact, parse_peg, peg_of, peg_pattern_contains,
                   peg_sort_key)
@@ -431,18 +430,17 @@ def _check_maximal_generating() -> CheckResult:
 def _check_reduced_pattern() -> CheckResult:
     # The pegs with no clean compact pattern one shorter must be exactly the
     # recorded gaps; peg_basis_bound for prefix reversals rests on this.
-    # Runs on raw (base, decorations) tuples: length 6 alone has 240,592 pegs.
-    # A weakening turns a sign into a bullet, which can join strips but never
-    # split them, so a clean compact pattern one shorter is a plain deletion.
+    # Runs on peg states: length 6 alone has 240,592 pegs.  A weakening
+    # turns a sign into a bullet, which can join strips but never split
+    # them, so a clean compact pattern one shorter is a plain deletion.
     fails = []
     gaps = set()
     for n in range(2, 7):
-        for base, decs in _clean_compact_tuples(n):
-            has = any(map(_is_clean_compact_key,
-                          _peg_deletions(_peg_key(base, decs))))
+        for key in _clean_compact_keys(n):
+            has = any(map(_is_clean_compact_key, _peg_deletions(key)))
             if n > 4 and has:
                 continue
-            pp = PegPermutation(base, decs)
+            pp = _peg_of_key(key)
             if n <= 4 and has != any(len(q) == n - 1 for q in
                                      clean_compact_proper_patterns(pp)):
                 fails.append(f"shortcut disagrees at {format_peg(pp)}")

@@ -16,7 +16,7 @@ from pegball.peg import (ExceptionalKind, PegPermutation,
                          enumerate_clean_compact, format_peg,
                          is_clean_compact, is_compact, parse_peg,
                          perm_strips)
-from pegball.perm import avoids_all, contains_pattern, parse_perm
+from pegball.perm import avoids_all, contains_pattern, inverse, parse_perm
 
 
 def test_peg_bases_frozen():
@@ -150,6 +150,22 @@ def test_standard_bases_frozen():
     for (model, k), want in reference.STANDARD_BASES.items():
         got = standard_basis(Model(model), k)
         assert got == {parse_perm(t) for t in want}
+
+
+def test_standard_bases_closed_under_symmetries():
+    # each move is an involution, so B_k is closed under inverse; conjugating
+    # by the full reversal maps reversals to reversals, so rd B_k is also
+    # closed under reverse-complement; a basis inherits both
+    frozen = dict(reference.STANDARD_BASES)
+    frozen["rd", 2] = reference.RD_K2_BASIS
+    bases = {key: {parse_perm(t) for t in texts}
+             for key, texts in frozen.items()}
+    bases["prd", 3] = standard_basis(Model.PRD, 3)
+    for (model, k), basis in bases.items():
+        assert {inverse(p) for p in basis} == basis, (model, k)
+        if model == "rd":
+            assert {tuple(len(p) + 1 - v for v in reversed(p))
+                    for p in basis} == basis, k
 
 
 def test_rd_k2_basis_complete():

@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import sys
+import zlib
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,20 +13,18 @@ from pegball import reference
 from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
                            standard_basis_bound)
 from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs,
-                              _is_clean_compact_key, _moves, _peg_component,
-                              _peg_deletions, _peg_key, _peg_of_key,
-                              _peg_weakenings, _standard_search,
-                              _standard_table, ball, breakpoints, build_table,
+                              TableKind, _frontier_bfs, _moves, _peg_component,
+                              _standard_search, _standard_table, ball,
+                              breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
                               distance_bounded, distance_peg,
                               distance_peg_via_inflation, get_table,
                               lower_bound, pair_distance)
 from pegball.enumeration import CountMethod, count_ball
 from pegball.generators import generating_set, is_generating
-from pegball.peg import (PegPermutation, format_peg, is_clean_compact,
-                         oriented_prefix_reversal,
-                         oriented_reversal, parse_peg)
+from pegball.peg import (PegPermutation, _peg_key, _peg_of_key, format_peg,
+                         oriented_prefix_reversal, oriented_reversal,
+                         parse_peg)
 from pegball.perm import identity, parse_perm, prefix_reversal, reversal
 
 
@@ -207,7 +206,8 @@ def _read(table):
 def test_build_table_and_lookup():
     t = build_table(Model.RD, 4)
     assert t.model is Model.RD and t.kind is TableKind.STANDARD and t.n == 4
-    assert t.header() == "PEGBALL-DIST v1 rd standard 4"
+    assert t.header() == (f"PEGBALL-DIST v2 rd standard 4 "
+                          f"{zlib.crc32(t.data):08x}")
     assert _read(t)[3, 4, 1, 2] == 2
     assert _read(t)[1, 2, 3, 4] == 0
     assert max(t.data) == 3
@@ -217,7 +217,7 @@ def test_table_save_load_round_trip(tmp_path):
     t = build_table(Model.PRD, 3)
     path = tmp_path / "t.dist"
     t.save(path)
-    assert path.read_bytes().startswith(b"PEGBALL-DIST v1 prd standard 3")
+    assert path.read_bytes().startswith(b"PEGBALL-DIST v2 prd standard 3 ")
     u = DistanceTable.load(path)
     assert u.model is t.model and u.kind is t.kind and u.n == t.n
     assert _read(u) == _read(t) == _standard_table(Model.PRD, 3)
@@ -269,6 +269,28 @@ def test_get_table_rebuilds_flipped_cache_file(tmp_path):
     clear_memory_cache()
     assert get_table(Model.PRD, 5, cache_dir=tmp_path).data == t.data
     assert DistanceTable.load(path).data == t.data
+
+
+def test_distance_rebuilds_cache_file_with_flipped_middle_byte(tmp_path):
+    clear_memory_cache()
+    p = (4, 2, 5, 6, 1, 3)  # rank 400 in lexicographic order
+    assert distance(Model.RD, p, cache_dir=tmp_path) == 4
+    path = cache_path(tmp_path, Model.RD, TableKind.STANDARD, 6)
+    raw = bytearray(path.read_bytes())
+    header_len = raw.index(b"\n") + 1
+    raw[header_len + 400] = 3
+    path.write_bytes(bytes(raw))
+    clear_memory_cache()
+    assert distance(Model.RD, p, cache_dir=tmp_path) == 4
+    assert DistanceTable.load(path).data == build_table(Model.RD, 6).data
+    # a file in the format before the checksum is rebuilt too
+    old = path.read_bytes()
+    path.write_bytes(b"PEGBALL-DIST v1 rd standard 6\n" + old[header_len:])
+    with pytest.raises(ValueError):
+        DistanceTable.load(path)
+    clear_memory_cache()
+    assert distance(Model.RD, p, cache_dir=tmp_path) == 4
+    assert path.read_bytes() == old
 
 
 def test_get_table_memo_per_cache_dir(tmp_path):
@@ -448,25 +470,6 @@ def test_peg_state_goal():
     assert distance_peg(Model.RD, parse_peg("1+")) == 0
     assert distance_peg(Model.RD, parse_peg("1.")) == 0
     assert distance_peg(Model.RD, parse_peg("1-")) == 1
-
-
-def test_peg_state_reductions_match_pegs():
-    for n in range(5):
-        for base in itertools.permutations(identity(n)):
-            for decs in itertools.product("+-.", repeat=n):
-                pp = PegPermutation(base, decs)
-                key = _peg_key(base, decs)
-                deletions = [PegPermutation(
-                    tuple(v - (v > base[i]) for v in base[:i] + base[i + 1:]),
-                    decs[:i] + decs[i + 1:]) for i in range(n)]
-                weakenings = [PegPermutation(base, decs[:i] + (".",)
-                                             + decs[i + 1:])
-                              for i in range(n) if decs[i] != "."]
-                assert list(map(_peg_of_key, _peg_deletions(key))) == deletions
-                assert list(map(_peg_of_key, _peg_weakenings(key))) == \
-                    weakenings
-                assert all(w > key for w in _peg_weakenings(key))
-                assert _is_clean_compact_key(key) == is_clean_compact(pp)
 
 
 def test_non_model_rejected():

@@ -1,6 +1,6 @@
 import pytest
 
-from pegball import reference
+from pegball import inflation, reference
 from pegball.distance import Model, ResourceLimitError, ball
 from pegball.enumeration import (CountMethod, _class_members, count_ball,
                                  sequence)
@@ -16,6 +16,13 @@ def test_doctest_anchors():
     assert count_ball(Model.PRD, 2, 4, CountMethod.GRID) == 10
     assert count_ball(Model.PRD, 0, 5, CountMethod.AVOID) == 1
     assert sequence(Model.RD, 1, 4) == [1, 2, 4, 7]
+
+
+def test_grid_sequence_builds_sub_peg_closure_once():
+    inflation._sub_pegs.cache_clear()
+    assert sequence(Model.RD, 3, 6, CountMethod.GRID) == \
+        sequence(Model.RD, 3, 6)
+    assert inflation._sub_pegs.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("model", [Model.RD, Model.PRD])

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pegball.perm import ParseError
-from pegball.peg import (Decoration, ExceptionalKind, PegPermutation,
-                         StripDirection,
+from pegball.distance import Model
+from pegball.generators import generating_set
+from pegball.perm import ParseError, pattern_of
+from pegball.peg import (_MAX_STATE_VALUE, Decoration, ExceptionalKind,
+                         PegPermutation, StripDirection, _FLIP,
+                         _is_clean_compact_key, _oriented, _peg_deletions,
+                         _peg_key, _peg_of_key, _peg_weakenings,
                          clean_compact_proper_patterns,
                          enumerate_clean_compact, exceptional, format_peg,
                          is_clean_compact, is_compact, min_inflation,
@@ -131,6 +135,18 @@ def test_proper_patterns_of_2plus_1dot():
     assert got == ["", "1+", "1.", "2. 1."]
 
 
+def test_proper_patterns_of_long_generating_peg():
+    pp = parse_peg("1+ 8- 7+ 6- 5+ 4- 3+ 2- 9+")
+    assert pp in generating_set(Model.RD, 4).members
+    below = proper_patterns(pp)
+    assert pp not in below
+    assert all(peg_pattern_contains(q, pp) for q in below)
+    deletions = {PegPermutation(
+        pattern_of(pp.base, [j for j in range(9) if j != i]),
+        pp.decorations[:i] + pp.decorations[i + 1:]) for i in range(9)}
+    assert deletions <= below
+
+
 def test_clean_compact_proper_patterns_filter():
     pp = parse_peg("2+ 1.")
     cc = clean_compact_proper_patterns(pp)
@@ -191,3 +207,45 @@ def test_decoration_parsing():
     assert Decoration.from_char("•") is Decoration.DOT
     with pytest.raises(ParseError):
         Decoration.from_char("?")
+
+
+def test_peg_state_reductions_match_pegs():
+    for n in range(5):
+        for base in permutations(range(1, n + 1)):
+            for decs in product("+-.", repeat=n):
+                pp = PegPermutation(base, decs)
+                key = _peg_key(base, decs)
+                deletions = [PegPermutation(
+                    tuple(v - (v > base[i]) for v in base[:i] + base[i + 1:]),
+                    decs[:i] + decs[i + 1:]) for i in range(n)]
+                weakenings = [PegPermutation(base, decs[:i] + (".",)
+                                             + decs[i + 1:])
+                              for i in range(n) if decs[i] != "."]
+                assert list(map(_peg_of_key, _peg_deletions(key))) == deletions
+                assert list(map(_peg_of_key, _peg_weakenings(key))) == \
+                    weakenings
+                assert all(w > key for w in _peg_weakenings(key))
+                assert _is_clean_compact_key(key) == is_clean_compact(pp)
+
+
+def test_peg_state_round_trip_to_the_largest_value():
+    n = _MAX_STATE_VALUE
+    assert n == 84
+    for d in "+-.":  # every value with every decoration
+        pp = PegPermutation(tuple(range(n, 0, -1)), (d,) * n)
+        assert _peg_of_key(_peg_key(pp.base, pp.decorations)) == pp
+    with pytest.raises(ValueError):
+        _peg_key(tuple(range(1, n + 2)), "." * (n + 1))
+
+
+def test_oriented_move_reverses_and_flips_signs():
+    for pp in (pp for n in range(5) for pp in _all_pegs(n)):
+        key = _peg_key(pp.base, pp.decorations)
+        for i in range(len(pp)):
+            for j in range(i + 1, len(pp) + 1):
+                want = PegPermutation(
+                    pp.base[:i] + pp.base[i:j][::-1] + pp.base[j:],
+                    pp.decorations[:i]
+                    + tuple(_FLIP[d] for d in pp.decorations[i:j][::-1])
+                    + pp.decorations[j:])
+                assert _peg_of_key(_oriented(i, j)(key)) == want
