@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .distance import (Model, ResourceLimitError, _bullet_ball_level,
-                       _check_model, _peg_ball_level, distance_bounded,
-                       distance_peg)
+                       _check_model, _peg_ball_level, _peg_component,
+                       distance_bounded, distance_peg)
 from .inflation import a_set_stream
 from .peg import (_MAX_STATE_VALUE, ExceptionalKind, PegPermutation,
-                  _is_clean_compact_key, _peg_deletions, _peg_of_key,
-                  _peg_weakenings, clean_compact_proper_patterns, exceptional,
-                  is_clean_compact, peg_of, peg_sort_key, proper_patterns)
+                  _is_clean_compact_key, _pattern_keys, _peg_deletions,
+                  _peg_key, _peg_of_key, _peg_weakenings, exceptional,
+                  is_clean_compact, peg_of, peg_sort_key)
 from .perm import Perm, minimal_elements
 
 __all__ = [
@@ -128,12 +128,11 @@ def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
         raise ValueError(f"not clean compact: {pp}")
     if distance_peg(model, pp) <= k:
         return False
-    if model is Model.RD:
-        pool = proper_patterns(pp)
-    else:
-        pool = clean_compact_proper_patterns(pp)
-    patterns = sorted(pool, key=len, reverse=True)
-    return all(len(qq) == 0 or distance_peg(model, qq) <= k for qq in patterns)
+    # longest first, then by state, so the early exit is deterministic
+    keys = sorted(_pattern_keys(_peg_key(pp.base, pp.decorations)),
+                  key=lambda s: (-len(s), s))
+    return all(_peg_component(model, s)[s] <= k for s in keys
+               if model is Model.RD or _is_clean_compact_key(s))
 
 
 def _sweep(ball: Callable[[int], Iterable[bytes]], bound: int,

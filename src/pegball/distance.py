@@ -127,6 +127,12 @@ def _moves(model: Model, n: int) -> list[itemgetter]:
             for i, j in _blocks(model, n, 2)]
 
 
+@cache
+def _block_moves(model: Model, n: int) -> list[tuple[int, int, itemgetter]]:
+    """Each block [i, j) with its move in _moves(model, n); memoized too."""
+    return [(*ij, move) for ij, move in zip(_blocks(model, n, 2), _moves(model, n))]
+
+
 def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
     """Each oriented move on peg states: reverse a block and flip its signs."""
     return [_oriented(i, j) for i, j in _blocks(model, n, 1)]
@@ -295,9 +301,7 @@ def breakpoints(pp: PegPermutation) -> int:
     >>> breakpoints(parse_peg("1+ 2+ 3+"))
     0
     """
-    if len(pp) <= 1:
-        return 0
-    return len(strips(pp)) - 1
+    return max(len(strips(pp)) - 1, 0)  # the empty peg has no strip
 
 
 def lower_bound(model: Model, pp: PegPermutation) -> int:
@@ -327,30 +331,24 @@ def lower_bound(model: Model, pp: PegPermutation) -> int:
 # ---------------------------------------------------------------------------
 # Bounded search for long permutations
 
-def _h_rd(p: Perm) -> int:
-    bp = 0
-    prev = 0
-    for x in p:
-        if abs(x - prev) != 1:
-            bp += 1
-        prev = x
-    if abs(len(p) + 1 - prev) != 1:
-        bp += 1
-    return (bp + 1) // 2
-
-
-def _h_prd(p: Perm) -> int:
-    bp = sum(1 for a, b in zip(p, p[1:]) if abs(b - a) != 1)
-    if p and p[-1] != len(p):
-        bp += 1
-    return bp
-
-
 def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     """Exact distance if it is <= bound, else None.
 
-    Iterative-deepening A* under the admissible breakpoint heuristics; no
-    table is built, so the permutation may be far longer than the BFS limits.
+    Iterative-deepening A* (Korf 1985) under the breakpoint bounds of
+    Kececioglu & Sankoff (1995), with no table, so p may be far longer than the
+    BFS limits.  A breakpoint of s is a pair (f_x, f_x+1) of its frame
+    f = (L, s_1, ..., s_n, n+1) that differs by other than 1, with L = 0 for
+    reversals and -1, adjacent to no value, for prefix reversals.  The identity
+    has none, or only the one at L; a move repairs at most two, or one, so
+    h = ceil(bp/2), or bp - 1, never exceeds the distance.  Delta rule:
+    reversing the block [i, j) of s turns only the pairs (f_i, f_i+1) and
+    (f_j, f_j+1) into (f_i, f_j) and (f_i+1, f_j+1); for a prefix reversal
+    i = 0, and both pairs at L are breaks.  So the search counts a child's
+    breakpoints from its parent's by four comparisons, building only children
+    with g + 1 + h <= limit: the test, moves and order of a search that builds
+    every child, so the same tree and answer.  A child passing with no move
+    left has the identity's breakpoints, so it is the identity; no shallower
+    node is, as the first limit max(h, 1) <= distance and all smaller failed.
 
     >>> distance_bounded(Model.RD, (4, 5, 6, 1, 2, 3), 3)
     3
@@ -358,28 +356,27 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     True
     """
     _check_model(model)
-    p = tuple(p)
-    check_permutation(p)
-    h = _h_rd if model is Model.RD else _h_prd
-    goal = identity(len(p))
-    moves = _moves(model, len(p))
-    if p == goal:
+    p = check_permutation(tuple(p))
+    n = len(p)
+    if p == identity(n):
         return 0
+    rd, left = model is Model.RD, 0 if model is Model.RD else -1
 
-    def dfs(state: Perm, g: int, limit: int) -> bool:
-        if g + h(state) > limit:
-            return False
-        if state == goal:
-            return True
-        if g == limit:
-            return False
-        for move in moves:
-            if dfs(move(state), g + 1, limit):
+    def dfs(s: Perm, r: int) -> bool:
+        # s is not the identity, and h(s) <= r: a path of r moves?
+        f = (left, *s, n + 1)
+        brk = [abs(a - b) != 1 for a, b in zip(f, f[1:])]
+        room = (2 * r - 2 if rd else r) - sum(brk)
+        for i, j, move in _block_moves(model, n):
+            delta = ((abs(f[i] - f[j]) != 1) + (abs(f[i + 1] - f[j + 1]) != 1)
+                     - brk[i] - brk[j])
+            if delta <= room and (r == 1 or dfs(move(s), r - 1)):
                 return True
         return False
 
-    for limit in range(max(h(p), 1), bound + 1):
-        if dfs(p, 0, limit):
+    bp = sum(abs(a - b) != 1 for a, b in zip((left, *p), (*p, n + 1)))
+    for limit in range(max((bp + 1) // 2 if rd else bp - 1, 1), bound + 1):
+        if dfs(p, limit):
             return limit
     return None
 
@@ -406,8 +403,7 @@ def distance_peg_via_inflation(model: Model, pp: PegPermutation, N: int) -> int:
         raise ResourceLimitError(
             f"inflated length {sum(v)} exceeds limit", max_total)
     g = monotone_inflate(pp, v)
-    upper = distance_peg(model, pp)
-    d = distance_bounded(model, g, upper)
+    d = distance_bounded(model, g, distance_peg(model, pp))
     if d is None:
         raise RuntimeError("grid member exceeded its peg distance bound")
     return d

@@ -5,7 +5,7 @@ the balls B_k, built by the inductive inflation constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 from .distance import Model, _check_model, distance_peg
@@ -30,8 +30,13 @@ class GeneratingSet:
     k: int
     members: frozenset[PegPermutation]
 
+    @cached_property
+    def _sorted(self) -> tuple[PegPermutation, ...]:
+        return tuple(sorted(self.members, key=peg_sort_key))
+
     def sorted_members(self) -> list[PegPermutation]:
-        return sorted(self.members, key=peg_sort_key)
+        """Sorted once per instance; each call returns a fresh list."""
+        return list(self._sorted)
 
     def __len__(self) -> int:
         return len(self.members)

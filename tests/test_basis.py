@@ -13,9 +13,10 @@ from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
 from pegball.distance import (Model, ResourceLimitError, _bullet_ball_level,
                               ball, distance, distance_peg)
 from pegball.peg import (ExceptionalKind, PegPermutation,
+                         clean_compact_proper_patterns,
                          enumerate_clean_compact, format_peg,
                          is_clean_compact, is_compact, parse_peg,
-                         perm_strips)
+                         perm_strips, proper_patterns)
 from pegball.perm import avoids_all, contains_pattern, inverse, parse_perm
 
 
@@ -29,11 +30,12 @@ def test_peg_basis_needs_no_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("peg_basis must not enumerate or test pegs")
 
-    # the sweep calls none of these; basis no longer imports the first
+    # the sweep calls none of these; basis no longer imports the first, and
+    # reads patterns as states through the last
     monkeypatch.setattr(basis_module, "enumerate_clean_compact", refuse,
                         raising=False)
     monkeypatch.setattr(basis_module, "is_peg_basis_member", refuse)
-    monkeypatch.setattr(basis_module, "proper_patterns", refuse)
+    monkeypatch.setattr(basis_module, "_pattern_keys", refuse)
     for (model, k), want in reference.PEG_BASES.items():
         got = {format_peg(pp) for pp in peg_basis(Model(model), k).members}
         assert got == set(want)
@@ -115,6 +117,19 @@ def test_is_peg_basis_member_is_model_dependent():
     assert is_peg_basis_member(Model.PRD, 1, theta3)
     assert is_peg_basis_member(Model.RD, 1, parse_peg("1- 2-"))
     assert not is_peg_basis_member(Model.RD, 1, parse_peg("1- 2- 3-"))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_is_peg_basis_member_matches_definition_on_pegs(model):
+    # the definition read through PegPermutation patterns, to length 4
+    for n in range(5):
+        for pp in enumerate_clean_compact(n):
+            below = (proper_patterns(pp) if model is Model.RD
+                     else clean_compact_proper_patterns(pp))
+            for k in range(3):
+                want = distance_peg(model, pp) > k and all(
+                    distance_peg(model, qq) <= k for qq in below)
+                assert is_peg_basis_member(model, k, pp) == want, (pp, k)
 
 
 def test_peg_basis_k_limit():

@@ -94,6 +94,70 @@ def test_distance_bounded():
             assert distance_bounded(Model(model), parse_perm(text), want - 1) is None
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_distance_bounded_matches_tables_to_length_7(model):
+    for n in range(8):
+        for p, d in _standard_table(model, n).items():
+            assert distance_bounded(model, p, d) == d, p
+            assert d == 0 or distance_bounded(model, p, d - 1) is None, p
+
+
+def _meet_in_the_middle(model, p):
+    """Distance of p, by growing a ball around p and one around the identity,
+    the one of smaller radius first, until they meet: while the balls of
+    radii a and b are disjoint the distance exceeds a + b."""
+    balls = [{p: 0}, {identity(len(p)): 0}]
+    frontiers = [[p], [identity(len(p))]]
+    radii = [0, 0]
+    while not balls[0].keys() & balls[1].keys():
+        side = 0 if radii[0] <= radii[1] else 1
+        radii[side] += 1
+        layer = []
+        for s in frontiers[side]:
+            for q in _standard_neighbours(model, s):
+                if q not in balls[side]:
+                    balls[side][q] = radii[side]
+                    layer.append(q)
+        frontiers[side] = layer
+    common = balls[0].keys() & balls[1].keys()
+    return min(balls[0][q] + balls[1][q] for q in common)
+
+
+def _inflate(peg, sizes):
+    """peg with each entry grown into a monotone run of the given size, the
+    run increasing for + and decreasing for -."""
+    pp = parse_peg(peg)
+    starts = {v: 1 + sum(s for w, s in zip(pp.base, sizes) if w < v)
+              for v in pp.base}
+    out = []
+    for v, d, size in zip(pp.base, pp.decorations, sizes):
+        run = list(range(starts[v], starts[v] + size))
+        out += run[::-1] if d.value == "-" else run
+    return tuple(out)
+
+
+@pytest.mark.parametrize("model,peg,sizes", [
+    ("rd", "1+ 2- 3+", (4, 5, 3)),
+    ("rd", "1+ 4- 3+ 2- 5+", (3, 2, 4, 3, 2)),
+    ("rd", "1+ 4+ 2- 3- 5+", (2, 4, 3, 3, 4)),
+    ("rd", "1+ 3- 4- 2+ 5+", (1, 3, 5, 4, 3)),
+    ("prd", "2+ 1- 3+", (5, 4, 4)),
+    ("prd", "3- 1+ 2- 4+", (3, 4, 3, 3)),
+    ("prd", "2+ 3- 1- 4+", (4, 4, 4, 3)),
+    ("prd", "1- 3+ 2+ 4+", (2, 5, 4, 5)),
+])
+def test_distance_bounded_on_long_inflations(model, peg, sizes):
+    gens = (reference.RD_GENERATING if model == "rd"
+            else reference.PRD_GENERATING)
+    assert any(peg in members for members in gens.values())
+    m, p = Model(model), _inflate(peg, sizes)
+    assert 12 <= len(p) <= 16
+    d = _meet_in_the_middle(m, p)
+    assert distance_bounded(m, p, d) == d
+    assert distance_bounded(m, p, d + 2) == d
+    assert distance_bounded(m, p, d - 1) is None
+
+
 def test_ball():
     assert sorted(ball(Model.RD, 1, 3)) == \
         [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]

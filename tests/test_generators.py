@@ -2,13 +2,13 @@ from math import factorial
 
 import pytest
 
-from pegball import reference
+from pegball import generators, reference
 from pegball.distance import Model, ball, distance_peg
-from pegball.generators import (generating_set, is_generating,
+from pegball.generators import (GeneratingSet, generating_set, is_generating,
                                 prd_generating_set, rd_generating_set,
                                 rd_inflate_step)
 from pegball.inflation import grid_member
-from pegball.peg import format_peg, is_clean_compact, parse_peg
+from pegball.peg import format_peg, is_clean_compact, parse_peg, peg_sort_key
 
 
 def test_rd_frozen_sets():
@@ -72,6 +72,19 @@ def test_generating_set_memoized():
         for model in Model:
             with pytest.raises(ValueError):
                 generating_set(model, -1)
+
+
+def test_sorted_members_sorts_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(generators, "peg_sort_key",
+                        lambda pp: calls.append(pp) or peg_sort_key(pp))
+    gs = GeneratingSet(Model.RD, 2, rd_generating_set(2).members)
+    first = gs.sorted_members()
+    assert first == sorted(gs.members, key=peg_sort_key)
+    assert len(calls) == len(gs)
+    first.clear()  # the list is the caller's own
+    assert gs.sorted_members() == sorted(gs.members, key=peg_sort_key)
+    assert len(calls) == len(gs)
 
 
 def test_rd_inflate_step():
