@@ -34,9 +34,6 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
-_METHODS = {"bfs": CountMethod.BFS, "grid": CountMethod.GRID,
-            "avoid": CountMethod.AVOID}
-
 
 class UsageError(Exception):
     """Bad invocation: missing/empty arguments, unknown flags."""
@@ -118,7 +115,8 @@ def build_parser() -> _Parser:
                        help="ball sizes for n = 1 .. n-max")
     p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--n-max", type=nonnegative_int, required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default="bfs")
+    p.add_argument("--method", choices=sorted(m.value for m in CountMethod),
+                   default="bfs")
 
     p = sub.add_parser("member", parents=[common],
                        help="ball membership with a witness or violation")
@@ -197,7 +195,7 @@ def _cmd_basis(args) -> tuple[object, list[str], int]:
 
 def _cmd_enumerate(args) -> tuple[object, list[str], int]:
     counts = sequence(Model(args.model), args.k, args.n_max,
-                      _METHODS[args.method], limit=args.limit)
+                      CountMethod(args.method), limit=args.limit)
     return ({"counts": counts, "method": args.method},
             [" ".join(str(c) for c in counts)], EXIT_OK)
 

@@ -198,11 +198,9 @@ def _standard_search(model: Model, start: Perm) -> dict[Perm, int]:
 
 
 def _standard_table(model: Model, n: int) -> dict[Perm, int]:
-    key = (model, n)
-    table = _STANDARD_TABLES.get(key)
+    table = _STANDARD_TABLES.get((model, n))
     if table is None:
-        table = _standard_search(model, identity(n))
-        _STANDARD_TABLES[key] = table
+        table = _STANDARD_TABLES[model, n] = _standard_search(model, identity(n))
     return table
 
 

@@ -12,7 +12,8 @@ from .distance import (Model, ResourceLimitError, TableKind, _check_model,
                        ball)
 from .generators import generating_set
 from .inflation import grid_enumerate
-from .perm import Perm, _deletions
+from .peg import _MAX_STATE_VALUE, _peg_deletions, _peg_key, _peg_of_key
+from .perm import Perm
 
 __all__ = [
     "CountMethod",
@@ -30,34 +31,42 @@ class CountMethod(Enum):
 
 DEFAULT_LIMIT_CLASS = 12
 
-# (model, k) -> (standard basis, [B_k(0), B_k(1), ...]), grown on demand
+# (model, k) -> (standard basis, [B_k(0), B_k(1), ...]) as all-bullet peg
+# states, grown on demand
 _CLASS_CACHE: dict[tuple[Model, int],
-                   tuple[frozenset[Perm], list[set[Perm]]]] = {}
+                   tuple[frozenset[bytes], list[set[bytes]]]] = {}
 
 
-def _class_members(model: Model, k: int, n: int) -> set[Perm]:
-    """Avoiders of the standard basis, grown by inserting each new maximum.
+def _class_level(model: Model, k: int, n: int) -> set[bytes]:
+    """Avoiders of the standard basis as all-bullet peg states, grown by
+    inserting each new maximum (n <= peg._MAX_STATE_VALUE).
 
     The class is closed downward, so every length-m member arises from a
     length-(m-1) member by inserting the value m.  Such a candidate q avoids
     the basis iff q is not in it and every one-point deletion of q is in
     level m-1, as every proper pattern of q lies inside one of them.
     """
-    basis, levels = _CLASS_CACHE.get((model, k), (None, [{()}]))
-    if len(levels) <= n:
-        if basis is None:
-            basis = frozenset(standard_basis(model, k))
-        while len(levels) <= n:
-            m = len(levels)
-            grown: set[Perm] = set()
-            for p in levels[m - 1]:
-                for pos in range(m):
-                    q = p[:pos] + (m,) + p[pos:]
-                    if q not in basis and levels[m - 1].issuperset(_deletions(q)):
-                        grown.add(q)
-            levels.append(grown)
-        _CLASS_CACHE[model, k] = basis, levels
+    basis, levels = _CLASS_CACHE.get((model, k), (None, [{b""}]))
+    if basis is None and len(levels) <= n:
+        basis = frozenset(_peg_key(b, "." * len(b)) for b in standard_basis(model, k))
+    while len(levels) <= n:
+        m = len(levels)
+        below, top = levels[m - 1], bytes((3 * m + 2,))
+        levels.append({q for p in below for pos in range(m)
+                       for q in (p[:pos] + top + p[pos:],)
+                       if q not in basis and below.issuperset(_peg_deletions(q))})
+    _CLASS_CACHE[model, k] = basis, levels
     return levels[n]
+
+
+def _class_members(model: Model, k: int, n: int) -> set[Perm]:
+    return {_peg_of_key(s).base for s in _class_level(model, k, n)}
+
+
+def _class_limit(method: CountMethod, limit: int | None) -> int:
+    """The longest length GRID or AVOID counts; AVOID's levels are states."""
+    eff = DEFAULT_LIMIT_CLASS if limit is None else limit
+    return min(eff, _MAX_STATE_VALUE) if method is CountMethod.AVOID else eff
 
 
 def count_ball(model: Model, k: int, n: int,
@@ -77,13 +86,13 @@ def count_ball(model: Model, k: int, n: int,
         raise ValueError(f"negative parameter: k={k}, n={n}")
     if method is CountMethod.BFS:
         return len(ball(model, k, n, TableKind.STANDARD, limit=limit))
-    eff = DEFAULT_LIMIT_CLASS if limit is None else limit
+    eff = _class_limit(method, limit)
     if n > eff:
         raise ResourceLimitError(f"length {n} exceeds {method.value} limit", eff)
     if method is CountMethod.GRID:
         members = generating_set(model, k).members
         return len(grid_enumerate(members, n))
-    return len(_class_members(model, k, n))
+    return len(_class_level(model, k, n))
 
 
 def sequence(model: Model, k: int, n_max: int,
@@ -94,5 +103,8 @@ def sequence(model: Model, k: int, n_max: int,
     >>> sequence(Model.RD, 1, 4)
     [1, 2, 4, 7]
     """
+    top = _class_limit(method, limit) + 1  # the first length GRID or AVOID refuses
+    if method is not CountMethod.BFS and n_max >= top:
+        count_ball(model, k, top, method, limit=limit)  # raises before any count
     return [count_ball(model, k, n, method, limit=limit)
             for n in range(1, n_max + 1)]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from operator import add
+from operator import gt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .peg import (DOT, MINUS, Decoration, PegPermutation, _closure,
+from .peg import (DOT, MINUS, Decoration, PegPermutation, _closure, _linked,
                   is_clean_compact)
 from .perm import Perm, _deletions
 
@@ -54,7 +54,7 @@ def monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> Perm:
     (3, 4, 1, 2)
     """
     check_legal(pp, v)
-    return next(_inflations(pp.base, pp.decorations, v, sum(v)))
+    return next(_inflations(_plan(pp.base, pp.decorations), v, sum(v)))
 
 
 def peg_monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> set[PegPermutation]:
@@ -75,21 +75,6 @@ def peg_monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> set[PegPermuta
     return {PegPermutation(base, decs) for decs in itertools.product(*pools)}
 
 
-def _blocks_consistent(pp: PegPermutation,
-                       blocks: Sequence[tuple[int, int] | None],
-                       n: int) -> bool:
-    """Nonempty block value intervals must stack to 1..n in base-value order."""
-    nonempty = sorted((pp.base[i], lo, hi)
-                      for i, b in enumerate(blocks) if b is not None
-                      for lo, hi in [b])
-    acc = 0
-    for _, lo, hi in nonempty:
-        if lo != acc + 1:
-            return False
-        acc = hi
-    return acc == n
-
-
 def _grid_search(pp: PegPermutation, gb: Perm,
                  gd: tuple[Decoration, ...] | None) -> bool:
     """Segment gb into len(pp) consecutive blocks, one per element of pp.
@@ -100,13 +85,17 @@ def _grid_search(pp: PegPermutation, gb: Perm,
     also be a bullet or carry its element's decoration.
     """
     m, n = len(pp), len(gb)
-    decs = pp.decorations
+    # each block's (lowest value - 1, highest value), or None if empty
     blocks: list[tuple[int, int] | None] = [None] * m
 
     def rec(pos: int, idx: int) -> bool:
-        if idx == m:
-            return pos == n and _blocks_consistent(pp, blocks, n)
-        d = decs[idx]
+        if idx == m:  # in base order, each block starts where the last ended
+            if pos < n:
+                return False
+            ends = [0, *(x for _, b in sorted(zip(pp.base, blocks)) if b
+                         for x in b), n]
+            return ends[::2] == ends[1::2]
+        d = pp.decorations[idx]
         blocks[idx] = None
         if rec(pos, idx + 1):
             return True
@@ -117,14 +106,13 @@ def _grid_search(pp: PegPermutation, gb: Perm,
         end = pos + 1
         while True:
             # a block ascends by step 1 or descends by step -1
-            blocks[idx] = ((gb[pos], gb[end - 1]) if step == 1
-                           else (gb[end - 1], gb[pos]))
+            blocks[idx] = ((gb[pos] - 1, gb[end - 1]) if step == 1
+                           else (gb[end - 1] - 1, gb[pos]))
             if rec(end, idx + 1):
                 return True
             if (end - pos >= limit or end == n
                     or gb[end] - gb[end - 1] != step
                     or (gd is not None and gd[end] not in (DOT, d))):
-                blocks[idx] = None
                 return False
             end += 1
 
@@ -158,45 +146,53 @@ def grid_member_peg(pp: PegPermutation, g: PegPermutation) -> bool:
     return _grid_search(pp, g.base, g.decorations)
 
 
-def _compositions(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Vectors v summing to total with 0 <= v[i] <= caps[i]."""
-    m = len(caps)
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if idx == m:
-            if remaining == 0:
-                yield ()
-            return
-        for size in range(min(caps[idx], remaining) + 1):
-            for rest in rec(idx + 1, remaining - size):
-                yield (size,) + rest
-
-    return rec(0, total)
+def _compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Vectors v summing to total with 0 <= v[i] <= caps[i], in lexicographic
+    order: stars and bars, as v's partial sums before its last entry are the
+    nondecreasing sequences over 0..total, taken in lexicographic order."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    bounded = min(caps) < total
+    for cuts in itertools.combinations_with_replacement(range(total + 1),
+                                                        len(caps) - 1):
+        v = tuple(map(sub, cuts + (total,), (0,) + cuts))
+        if not (bounded and any(map(gt, v, caps))):
+            yield v
 
 
 def legal_vectors(pp: PegPermutation, total: int) -> Iterator[InflationVector]:
     """All legal inflation vectors for pp with entries summing to total."""
-    return _compositions([1 if d is DOT else total for d in pp.decorations],
-                         total)
+    return _compositions([1 if d is DOT else total for d in pp.decorations], total)
 
 
-def _inflations(base: Perm, decorations: Sequence[str], floor: Sequence[int],
-                total: int) -> Iterator[Perm]:
-    """The inflations of base by the vectors v >= floor summing to total that
-    exceed floor on signs only: entry i becomes v[i] consecutive values,
-    falling for a - entry, and the blocks stack in base-value order."""
+def _plan(base: Perm, decorations: Sequence[str]) -> tuple:
+    """How a peg inflates: positions by base value, signed ones, falling ones."""
+    return (tuple(sorted(range(len(base)), key=base.__getitem__)),
+            tuple(i for i, d in enumerate(decorations) if d != DOT),
+            tuple(d == MINUS for d in decorations))
+
+
+def _inflations(plan: tuple, floor: Sequence[int], total: int) -> Iterator[Perm]:
+    """The inflations of a peg by the vectors v >= floor summing to total
+    that exceed floor on signs only, in lexicographic order of v: entry i
+    becomes v[i] consecutive values, falling for a - entry, and the blocks
+    stack in base-value order."""
+    by_value, signed, falling = plan
     spare = total - sum(floor)
-    by_value = sorted(range(len(base)), key=base.__getitem__)
-    start = [0] * len(base)
-    for extra in _compositions([0 if d == DOT else spare for d in decorations],
-                               spare):
-        sizes = list(map(add, floor, extra))
+    sizes = list(floor)
+    blocks = [range(0)] * len(floor)
+    for extra in _compositions((spare,) * len(signed), spare):
+        for i, x in zip(signed, extra):
+            sizes[i] = floor[i] + x
         acc = 0
         for i in by_value:
-            start[i], acc = acc, acc + sizes[i]
-        yield tuple(itertools.chain.from_iterable(
-            range(lo + size, lo, -1) if d == MINUS else range(lo + 1, lo + size + 1)
-            for lo, size, d in zip(start, sizes, decorations)))
+            size = sizes[i]
+            blocks[i] = (range(acc + size, acc, -1) if falling[i]
+                         else range(acc + 1, acc + size + 1))
+            acc += size
+        yield tuple(itertools.chain.from_iterable(blocks))
 
 
 def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
@@ -211,26 +207,37 @@ def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
     pp[v] = sigma[v restricted to S]; conversely a positive vector of a
     sub-peg, padded with zeros on the deleted entries, is legal for pp.
 
+    A sub-peg with adjacent entries in one strip (peg._linked), one of them
+    signed, is skipped.  Their blocks sit side by side with consecutive
+    values, both running the strip's way, so they form one run, which the
+    signed entry alone inflates to: each inflation of the sub-peg is one of
+    its deletion of the other entry, and by induction on length one of a
+    sub-peg that is not skipped.
+
     >>> sorted(grid_enumerate({PegPermutation((1, 2, 3), "+-+")}, 3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     >>> grid_enumerate({PegPermutation((1,), "+")}, 4)
     {(1, 2, 3, 4)}
     """
     out: set[Perm] = set()
-    for base, decs in _sub_pegs(frozenset(pegs)):
-        if len(base) <= n:
-            out.update(_inflations(base, decs, [1] * len(base), n))
+    for plan in _sub_pegs(frozenset(pegs)):
+        m = len(plan[0])
+        if m <= n:
+            out.update(_inflations(plan, [1] * m, n))
     return out
 
 
 @cache
-def _sub_pegs(pegs: frozenset[PegPermutation]) -> frozenset[tuple[Perm, str]]:
-    """The pegs closed under one-point deletion as (base, decorations) tuples,
-    which hold pegs of any length, unlike peg states; memoized per set."""
-    return frozenset(_closure(
-        {(pp.base, "".join(pp.decorations)) for pp in pegs},
-        lambda peg: ((r, peg[1][:i] + peg[1][i + 1:])
-                     for i, r in enumerate(_deletions(peg[0])))))
+def _sub_pegs(pegs: frozenset[PegPermutation]) -> tuple[tuple, ...]:
+    """The plans of the sub-pegs grid_enumerate keeps, memoized per set; the
+    closure runs on (base, decorations) tuples, which hold any length."""
+    closed = _closure({(pp.base, "".join(pp.decorations)) for pp in pegs},
+                      lambda peg: ((r, peg[1][:i] + peg[1][i + 1:])
+                                   for i, r in enumerate(_deletions(peg[0]))))
+    return tuple(_plan(base, decs) for base, decs in closed
+                 if not any(_linked(base[i], decs[i], base[i + 1], decs[i + 1])
+                            and decs[i:i + 2] != ".."
+                            for i in range(len(base) - 1)))
 
 
 def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:
@@ -249,5 +256,6 @@ def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:
     if not is_clean_compact(beta):
         raise ValueError(f"not clean compact: {beta}")
     floor = [1 if d is DOT else 2 for d in beta.decorations]
+    plan = _plan(beta.base, beta.decorations)
     for length in range(sum(floor), max_total_length + 1):
-        yield from sorted(_inflations(beta.base, beta.decorations, floor, length))
+        yield from sorted(_inflations(plan, floor, length))

@@ -125,11 +125,11 @@ class PegPermutation:
 
 
 def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
-    """Adjacent pair belongs to a common strip."""
+    """Adjacent pair belongs to a common strip; decorations may be chars."""
     if v2 == v1 + 1:
-        return d1 is not MINUS and d2 is not MINUS
+        return d1 != MINUS and d2 != MINUS
     if v2 == v1 - 1:
-        return d1 is not PLUS and d2 is not PLUS
+        return d1 != PLUS and d2 != PLUS
     return False
 
 

@@ -216,11 +216,8 @@ def minimal_elements(perms: Iterable[Perm]) -> set[Perm]:
     [(2, 3, 1)]
     """
     pool = set(perms)
-    out = set()
-    for p in pool:
-        if not any(q != p and len(q) < len(p) and contains_pattern(q, p) for q in pool):
-            out.add(p)
-    return out
+    return {p for p in pool if not any(
+        q != p and len(q) < len(p) and contains_pattern(q, p) for q in pool)}
 
 
 def parse_perm(text: str) -> Perm:

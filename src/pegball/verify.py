@@ -69,24 +69,12 @@ def _result(suite: str, name: str, failures: list[str], scope: str) -> CheckResu
 # ---------------------------------------------------------------------------
 # paper suite: frozen values recomputed
 
-def _check_distances() -> CheckResult:
-    fails = []
-    for model_name, text, want in reference.DISTANCES:
-        got = distance(_MODEL[model_name], parse_perm(text))
-        if got != want:
-            fails.append(f"{model_name}({text}) = {got}, expected {want}")
-    return _result("paper", "distances", fails,
-                   f"{len(reference.DISTANCES)} exact values")
-
-
-def _check_peg_distances() -> CheckResult:
-    fails = []
-    for model_name, text, want in reference.PEG_DISTANCES:
-        got = distance_peg(_MODEL[model_name], parse_peg(text))
-        if got != want:
-            fails.append(f"{model_name}({text}) = {got}, expected {want}")
-    return _result("paper", "peg-distances", fails,
-                   f"{len(reference.PEG_DISTANCES)} exact values")
+def _check_distances(name: str, cases, oracle, parse) -> CheckResult:
+    fails = [f"{model_name}({text}) = {got}, expected {want}"
+             for model_name, text, want in cases
+             for got in (oracle(_MODEL[model_name], parse(text)),)
+             if got != want]
+    return _result("paper", name, fails, f"{len(cases)} exact values")
 
 
 def _check_generating_sets() -> CheckResult:
@@ -261,8 +249,10 @@ def _check_ball_counts() -> CheckResult:
 def paper_suite() -> list[CheckResult]:
     """Recompute every frozen reference value."""
     return [
-        _check_distances(),
-        _check_peg_distances(),
+        _check_distances("distances", reference.DISTANCES, distance,
+                         parse_perm),
+        _check_distances("peg-distances", reference.PEG_DISTANCES,
+                         distance_peg, parse_peg),
         _check_generating_sets(),
         _check_peg_bases(),
         _check_m_sets(),
@@ -362,10 +352,6 @@ def _check_lower_bounds() -> CheckResult:
                    f"{count} clean compact pegs of length <= 5")
 
 
-def _grid_member_exhaustive(pp: PegPermutation, g: Perm) -> bool:
-    return any(monotone_inflate(pp, v) == g for v in legal_vectors(pp, len(g)))
-
-
 def _check_grid_member(rng: random.Random) -> CheckResult:
     small_pegs = [pp for m in (1, 2, 3) for pp in _all_pegs(m)]
     small_perms = [p for n in (1, 2, 3, 4, 5)
@@ -376,7 +362,8 @@ def _check_grid_member(rng: random.Random) -> CheckResult:
     pairs += [(_random_peg(rng, rng.randint(1, 3)),
                _random_perm(rng, rng.randint(6, 7))) for _ in range(100)]
     fails = [f"{format_peg(pp)} vs {format_perm(g)}" for pp, g in pairs
-             if grid_member(pp, g) != _grid_member_exhaustive(pp, g)]
+             if grid_member(pp, g) != any(monotone_inflate(pp, v) == g
+                                          for v in legal_vectors(pp, len(g)))]
     return _result("properties", "grid-member", fails,
                    f"{len(pairs)} pairs: exhaustive |pp| <= 3 x |g| <= 5, "
                    "sampled up to |pp| = 4, |g| = 7")

@@ -208,6 +208,13 @@ def test_resource_errors(capsys):
     capsys.readouterr()
 
 
+def test_avoid_count_past_state_limit(capsys):
+    code = main(["enumerate", "--k", "1", "--n-max", "90", "--method",
+                 "avoid", "--limit", "100"])
+    assert code == 3
+    assert "(limit 84)" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "SUBCOMMAND" in capsys.readouterr().out

@@ -1,9 +1,10 @@
 import pytest
 
-from pegball import inflation, reference
+from pegball import enumeration, inflation, reference
 from pegball.distance import Model, ResourceLimitError, ball
 from pegball.enumeration import (CountMethod, _class_members, count_ball,
                                  sequence)
+from pegball.peg import _MAX_STATE_VALUE
 
 
 def test_frozen_sequences():
@@ -77,3 +78,19 @@ def test_resource_limits():
         count_ball(Model.RD, 1, 13, CountMethod.AVOID)
     assert count_ball(Model.RD, 1, 12, CountMethod.GRID) \
         == count_ball(Model.RD, 1, 12, CountMethod.AVOID)
+
+
+def test_avoid_limit_is_the_state_encoding():
+    # the levels are peg states, so no limit lets AVOID past their length
+    enumeration._CLASS_CACHE.pop((Model.RD, 1), None)
+    with pytest.raises(ResourceLimitError) as exc:
+        count_ball(Model.RD, 1, _MAX_STATE_VALUE + 1, CountMethod.AVOID,
+                   limit=100)
+    assert exc.value.limit == _MAX_STATE_VALUE
+    # a sequence past the limit fails before it grows a level
+    with pytest.raises(ResourceLimitError) as exc:
+        sequence(Model.RD, 1, 90, CountMethod.AVOID, limit=100)
+    assert exc.value.limit == _MAX_STATE_VALUE
+    assert (Model.RD, 1) not in enumeration._CLASS_CACHE
+    assert count_ball(Model.RD, 1, 13, CountMethod.AVOID, limit=13) \
+        == count_ball(Model.RD, 1, 13, CountMethod.GRID, limit=13)

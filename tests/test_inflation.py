@@ -4,10 +4,10 @@ import pytest
 
 from pegball.distance import Model
 from pegball.generators import generating_set
-from pegball.inflation import (a_set_stream, check_legal, grid_enumerate,
-                               grid_member, grid_member_peg, is_legal,
-                               legal_vectors, monotone_inflate,
-                               peg_monotone_inflate)
+from pegball.inflation import (_compositions, _sub_pegs, a_set_stream,
+                               check_legal, grid_enumerate, grid_member,
+                               grid_member_peg, is_legal, legal_vectors,
+                               monotone_inflate, peg_monotone_inflate)
 from pegball.peg import PegPermutation, format_peg, parse_peg, peg_of
 
 
@@ -55,6 +55,30 @@ def test_legal_vectors_count():
     assert list(legal_vectors(parse_peg("1."), 2)) == []
 
 
+def test_compositions_match_product_filter():
+    for caps in ([], [0], [0, 0], [3], [2, 0, 3], [1, 1, 1, 4], [5, 5, 5],
+                 [1, 3, 0, 2]):
+        for total in range(7):
+            want = [v for v in itertools.product(*(range(c + 1) for c in caps))
+                    if sum(v) == total]
+            assert list(_compositions(caps, total)) == want, (caps, total)
+
+
+def test_vector_and_stream_order():
+    pp = parse_peg("2+ 4. 1- 3+")
+    assert list(legal_vectors(pp, 3)) == [
+        (0, 0, 0, 3), (0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 3, 0), (0, 1, 0, 2),
+        (0, 1, 1, 1), (0, 1, 2, 0), (1, 0, 0, 2), (1, 0, 1, 1), (1, 0, 2, 0),
+        (1, 1, 0, 1), (1, 1, 1, 0), (2, 0, 0, 1), (2, 0, 1, 0), (2, 1, 0, 0),
+        (3, 0, 0, 0)]
+    assert list(a_set_stream(pp, 9)) == [
+        (3, 4, 7, 2, 1, 5, 6), (3, 4, 5, 8, 2, 1, 6, 7),
+        (3, 4, 8, 2, 1, 5, 6, 7), (4, 5, 8, 3, 2, 1, 6, 7),
+        (3, 4, 5, 6, 9, 2, 1, 7, 8), (3, 4, 5, 9, 2, 1, 6, 7, 8),
+        (3, 4, 9, 2, 1, 5, 6, 7, 8), (4, 5, 6, 9, 3, 2, 1, 7, 8),
+        (4, 5, 9, 3, 2, 1, 6, 7, 8), (5, 6, 9, 4, 3, 2, 1, 7, 8)]
+
+
 def test_grid_member():
     b = parse_peg("2+ 1+")
     assert grid_member(b, (3, 4, 1, 2))
@@ -77,6 +101,25 @@ def test_grid_enumerate_matches_grid_member():
         want = {p for p in map(tuple, itertools.permutations(range(1, n + 1)))
                 if any(grid_member(g, p) for g in gens)}
         assert got == want
+
+
+@pytest.mark.parametrize("model,k", [(Model.RD, k) for k in range(4)]
+                         + [(Model.PRD, k) for k in range(6)])
+def test_grid_enumerate_matches_grid_member_filter(model, k):
+    # an oracle that shares no inflation code with grid_enumerate
+    gens = generating_set(model, k).sorted_members()
+    for n in range(7):
+        want = {p for p in itertools.permutations(range(1, n + 1))
+                if any(grid_member(g, p) for g in gens)}
+        assert grid_enumerate(gens, n) == want, n
+
+
+def test_grid_enumerate_skips_linked_sub_pegs():
+    # 1+ 2+ and 2. 1- are one run each; 2. 1. is not, as bullets stay single
+    for text, kept in (("1+ 2+", 2), ("2. 1-", 3), ("2. 1.", 3)):
+        assert len(_sub_pegs(frozenset({parse_peg(text)}))) == kept, text
+    assert grid_enumerate({parse_peg("1+ 2+")}, 4) == {(1, 2, 3, 4)}
+    assert grid_enumerate({parse_peg("2. 1-")}, 4) == {(4, 3, 2, 1)}
 
 
 def _grid_union_oracle(pegs, n):
