@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .distance import (Model, ResourceLimitError, _bullet_ball_level,
-                       _check_model, _peg_ball_level, _peg_component,
+                       _check_model, _peg_ball_level, _peg_distance,
                        distance_bounded, distance_peg)
 from .inflation import a_set_stream
 from .peg import (_MAX_STATE_VALUE, ExceptionalKind, PegPermutation,
                   _is_clean_compact_key, _pattern_keys, _peg_deletions,
-                  _peg_key, _peg_of_key, _peg_weakenings, exceptional,
-                  is_clean_compact, peg_of, peg_sort_key)
+                  _peg_of_key, _peg_weakenings, exceptional, is_clean_compact,
+                  peg_of, peg_sort_key)
 from .perm import Perm, minimal_elements
 
 __all__ = [
@@ -129,9 +129,8 @@ def is_peg_basis_member(model: Model, k: int, pp: PegPermutation) -> bool:
     if distance_peg(model, pp) <= k:
         return False
     # longest first, then by state, so the early exit is deterministic
-    keys = sorted(_pattern_keys(_peg_key(pp.base, pp.decorations)),
-                  key=lambda s: (-len(s), s))
-    return all(_peg_component(model, s)[s] <= k for s in keys
+    keys = sorted(_pattern_keys(pp._key), key=lambda s: (-len(s), s))
+    return all(_peg_distance(model, s) <= k for s in keys
                if model is Model.RD or _is_clean_compact_key(s))
 
 

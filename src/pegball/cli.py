@@ -18,14 +18,15 @@ import json
 import os
 import sys
 import time
+from itertools import combinations
 
-from .basis import m_set_source, peg_basis, standard_basis
+from .basis import _check_radius, m_set_source, peg_basis, standard_basis
 from .distance import Model, ResourceLimitError, distance, distance_peg
 from .enumeration import CountMethod, sequence
 from .generators import generating_set
 from .inflation import grid_member
 from .peg import PegPermutation, format_peg, parse_peg, peg_of
-from .perm import ParseError, Perm, contains_pattern, format_perm, parse_perm
+from .perm import ParseError, Perm, format_perm, parse_perm, pattern_of
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -211,14 +212,27 @@ def _cmd_member(args) -> tuple[object, list[str], int]:
         result = {"member": True, "distance": d, "witness": witness}
         lines = [f"member (distance {d}), inflation of {witness}"]
     else:
-        basis = standard_basis(model, args.k)
-        violated = next((format_perm(b)
-                         for b in sorted(basis, key=lambda b: (len(b), b))
-                         if contains_pattern(b, p)), None)
+        # the answer names a basis member, so the basis radius limit holds
+        _check_radius(model, args.k, None, "basis")
+        violated = format_perm(_violated(model, args.k, p, args.limit,
+                                         args.cache_dir))
         result = {"member": False, "distance": d, "violated": violated}
         lines = [f"not a member (distance {d}), "
                  f"contains basis element {violated}"]
     return result, lines, EXIT_OK
+
+
+def _violated(model: Model, k: int, p: Perm, limit: int | None,
+              cache_dir: str | None) -> Perm:
+    """The least basis member of B_k in p, in (length, lex) order, for p
+    outside B_k: the least pattern b of p with distance above k.  Each
+    proper pattern of b is a shorter pattern of p, so lies in B_k, and b is
+    a basis member.  A basis member in p is a pattern of p outside B_k, so
+    it comes no earlier than b."""
+    n = len(p)
+    return next(b for m in range(1, n + 1) for b in sorted(
+        {pattern_of(p, c) for c in combinations(range(n), m)})
+        if distance(model, b, limit=limit, cache_dir=cache_dir) > k)
 
 
 def _cmd_grid_member(args) -> tuple[object, list[str], int]:

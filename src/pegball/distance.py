@@ -13,7 +13,8 @@ move with map and filterfalse.
   entry, so a move (peg._oriented) is a few C-level slices and a
   translate.  Bullet values are invariant under oriented reversals, so the
   peg state space splits by (length, bullet-value set) and each component
-  holds a single goal state.
+  holds a single goal state.  Peg distances are memoized per model by
+  state; a miss merges in the state's whole component.
 
 Bounded iterative-deepening A* with breakpoint heuristics gives one-off
 distances of permutations too long for tables.
@@ -25,8 +26,8 @@ dict when missing or corrupt.  Reads always go to the dict.
 
 A warm read is one memo probe and one table read: distance() memoizes its
 table per (model, n, cache_dir), where a hit is exactly a valid permutation,
-and peg components are memoized by their goal, the sorted unsigned state.
-A miss runs every check, and only a miss reads PEGBALL_CACHE.
+and distance_peg() reads the state its peg object encoded once.  A miss runs
+every check, and only a miss reads PEGBALL_CACHE.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .peg import (_UNSIGN, DOT, MINUS, PegPermutation, _oriented, _peg_key,
-                  _peg_of_key, strips)
+                  _peg_keys, _peg_of_key, strips)
 from .perm import Perm, check_permutation, identity
 
 __all__ = [
@@ -96,8 +97,12 @@ class ResourceLimitError(RuntimeError):
         self.limit = limit
 
 
-def _effective_limit(n: int, limit: int | None, default: int, hard: int,
-                     what: str) -> None:
+def _effective_limit(n: int, limit: int | None, kind: TableKind) -> None:
+    if kind is TableKind.STANDARD:
+        default, hard, what = (DEFAULT_LIMIT_STANDARD, HARD_LIMIT_STANDARD,
+                               "permutation")
+    else:
+        default, hard, what = DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG, "peg permutation"
     eff = min(default if limit is None else limit, hard)
     if n > eff:
         raise ResourceLimitError(f"{what} length {n} exceeds limit", eff)
@@ -142,8 +147,8 @@ def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
 # BFS engines
 
 _STANDARD_TABLES: dict[tuple[Model, int], dict[Perm, int]] = {}
-# (model, goal state) -> the peg component holding that goal
-_PEG_COMPONENTS: dict[tuple[Model, bytes], dict[bytes, int]] = {}
+# model -> peg state -> distance, for every state of each component searched
+_PEG_DISTANCES: dict[Model, dict[bytes, int]] = {}
 # (model, n, cache_dir) -> the table distance() reads, persisted to the
 # directory (cache_dir, else PEGBALL_CACHE when made) if one was set
 _READS: dict[tuple[Model, int, str | Path | None], dict[Perm, int]] = {}
@@ -204,19 +209,21 @@ def _standard_table(model: Model, n: int) -> dict[Perm, int]:
     return table
 
 
-def _peg_component(model: Model, key: bytes) -> dict[bytes, int]:
-    """The component holding the peg state key, memoized by its goal."""
-    goal = bytes(sorted(key.translate(_UNSIGN)))
-    comp = _PEG_COMPONENTS.get((model, goal))
-    if comp is None:
+def _peg_distance(model: Model, key: bytes) -> int:
+    """The distance of the peg state key.  On a miss, its component is
+    searched from its goal, the sorted unsigned state, and merged in."""
+    try:
+        return _PEG_DISTANCES[model][key]
+    except KeyError:
+        goal = bytes(sorted(key.translate(_UNSIGN)))
         comp = _frontier_bfs([goal], _peg_moves(model, len(goal)))
-        _PEG_COMPONENTS[model, goal] = comp
-    return comp
+        _PEG_DISTANCES.setdefault(model, {}).update(comp)
+        return comp[key]
 
 
 def clear_memory_cache() -> None:
     _STANDARD_TABLES.clear()
-    _PEG_COMPONENTS.clear()
+    _PEG_DISTANCES.clear()
     _READS.clear()
 
 
@@ -246,8 +253,7 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
                                else min(limit, HARD_LIMIT_STANDARD)):
         return d
     check_permutation(p)
-    _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD, HARD_LIMIT_STANDARD,
-                     "permutation")
+    _effective_limit(n, limit, TableKind.STANDARD)
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
     if directory and (model, n, directory) not in _READS:
         get_table(model, n, cache_dir=directory, limit=limit)
@@ -273,10 +279,8 @@ def distance_peg(model: Model, pp: PegPermutation, *,
     """
     n = len(pp.base)
     if n > (DEFAULT_LIMIT_PEG if limit is None else min(limit, HARD_LIMIT_PEG)):
-        _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
-                         "peg permutation")
-    key = _peg_key(pp.base, pp.decorations)
-    return _peg_component(model, key)[key]
+        _effective_limit(n, limit, TableKind.PEG)
+    return _peg_distance(model, pp._key)
 
 
 def pair_distance(model: Model, p: Perm, q: Perm) -> int:
@@ -422,8 +426,7 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
     if k < 0:
         raise ValueError(f"negative radius: {k}")
     if kind is TableKind.STANDARD:
-        _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
-                         HARD_LIMIT_STANDARD, "permutation")
+        _effective_limit(n, limit, TableKind.STANDARD)
         return set(_frontier_bfs([identity(n)], _moves(model, n), k))
     return set(map(_peg_of_key, _peg_ball_level(model, k, n, limit)))
 
@@ -431,8 +434,7 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
 def _peg_ball_level(model: Model, k: int, n: int,
                     limit: int | None = None) -> dict[bytes, int]:
     """The peg states of length n within distance k of one of the 2^n goals."""
-    _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
-                     "peg permutation")
+    _effective_limit(n, limit, TableKind.PEG)
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
     return _frontier_bfs(goals, _peg_moves(model, n), k)
 
@@ -512,25 +514,13 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
     >>> list(build_table(Model.RD, 3).data)
     [0, 1, 1, 2, 2, 1]
     """
+    _effective_limit(n, limit, kind)
     if kind is TableKind.STANDARD:
-        _effective_limit(n, limit, DEFAULT_LIMIT_STANDARD,
-                         HARD_LIMIT_STANDARD, "permutation")
         data = bytes(map(_standard_table(model, n).__getitem__,
                          permutations(identity(n))))
-        return DistanceTable(model, kind, n, data)
-    _effective_limit(n, limit, DEFAULT_LIMIT_PEG, HARD_LIMIT_PEG,
-                     "peg permutation")
-    # each decoration tuple with the mask of its bullet positions
-    decorations = [(decs, sum(1 << i for i, d in enumerate(decs) if d == "."))
-                   for decs in product("+-.", repeat=n)]
-    data = bytearray()
-    for base in permutations(identity(n)):
-        comps = [_peg_component(model, _peg_key(base, [
-                     "." if mask >> i & 1 else "+" for i in range(n)]))
-                 for mask in range(2 ** n)]
-        data += bytes(comps[mask][_peg_key(base, decs)]
-                      for decs, mask in decorations)
-    return DistanceTable(model, kind, n, bytes(data))
+    else:
+        data = bytes(_peg_distance(model, s) for s in _peg_keys(n))
+    return DistanceTable(model, kind, n, data)
 
 
 def cache_path(cache_dir: str | Path, model: Model, kind: TableKind,
@@ -552,6 +542,7 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
     Either way distance() then skips the directory for this (model, n).  A
     corrupt cache file is rebuilt, not trusted.
     """
+    _effective_limit(n, limit, kind)  # before any file is read
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
     if not directory:
         return build_table(model, n, kind, limit=limit)

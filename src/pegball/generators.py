@@ -9,9 +9,9 @@ from functools import cache, cached_property
 from itertools import product
 
 from .distance import Model, _check_model, distance_peg
-from .peg import (DOT, MINUS, PLUS, Decoration, PegPermutation,
-                  is_clean_compact, oriented_reversal, peg_sort_key)
-from .perm import pattern_of
+from .inflation import monotone_inflate
+from .peg import (DOT, MINUS, PLUS, PegPermutation, is_clean_compact,
+                  oriented_reversal, peg_sort_key)
 
 __all__ = [
     "GeneratingSet",
@@ -42,6 +42,14 @@ class GeneratingSet:
         return len(self.members)
 
 
+def _inflated_reversal(pp: PegPermutation, v: list[int], i: int,
+                       j: int) -> PegPermutation:
+    """The oriented reversal at i..j of pp inflated by v, each inflated
+    entry keeping its element's decoration."""
+    decs = tuple(d for d, size in zip(pp.decorations, v) for _ in range(size))
+    return oriented_reversal(PegPermutation(monotone_inflate(pp, v), decs), i, j)
+
+
 def rd_inflate_step(pp: PegPermutation, I: tuple[int, int]) -> PegPermutation:
     """One inductive step of the reversal construction.
 
@@ -65,23 +73,8 @@ def rd_inflate_step(pp: PegPermutation, I: tuple[int, int]) -> PegPermutation:
         raise ValueError(f"not clean compact: {pp}")
     if any(d is DOT for d in pp.decorations):
         raise ValueError(f"bullet decoration in {pp}")
-    # Scale values by 4 so inserted copies v+1, v+2 can sit at 4v+1, 4v+2.
-    keys: list[int] = []
-    decs: list[Decoration] = []
-    for pos in range(1, n + 1):
-        v, d = 4 * pp.base[pos - 1], pp.decorations[pos - 1]
-        if pos == i == j:
-            block = [v, v + 1, v + 2]
-        elif pos in (i, j):
-            block = [v, v + 1]
-        else:
-            block = [v]
-        if d is MINUS:
-            block.reverse()
-        keys.extend(block)
-        decs.extend([d] * len(block))
-    scaled = PegPermutation(pattern_of(keys, range(len(keys))), tuple(decs))
-    return oriented_reversal(scaled, i + 1, j + 1)
+    v = [1 + (pos == i) + (pos == j) for pos in range(1, n + 1)]
+    return _inflated_reversal(pp, v, i + 1, j + 1)
 
 
 def rd_generating_set(k: int) -> GeneratingSet:
@@ -125,18 +118,12 @@ def prd_inflate_step(pp: PegPermutation, i: int) -> PegPermutation:
     n = len(pp)
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range for length {n}")
-    x = pp.base[i - 1]
-    sign = pp.decorations[i - 1]
-    if sign is DOT:
+    if pp.decorations[i - 1] is DOT:
         raise ValueError(f"bullet decoration at position {i} of {pp}")
-
     # x^s grows into the pair x, x+1 running the way of s; the oriented
     # prefix reversal through its first entry then gives the result
-    bumped = tuple(v + 1 if v > x else v for v in pp.base)
-    pair = (x, x + 1) if sign is PLUS else (x + 1, x)
-    scaled = PegPermutation(bumped[: i - 1] + pair + bumped[i:],
-                            pp.decorations[:i] + pp.decorations[i - 1:])
-    return oriented_reversal(scaled, 1, i)
+    v = [1 + (pos == i) for pos in range(1, n + 1)]
+    return _inflated_reversal(pp, v, 1, i)
 
 
 def prd_generating_set(k: int) -> GeneratingSet:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -92,6 +92,9 @@ _STRIP_DECORATION = {StripDirection.INC: PLUS, StripDirection.DEC: MINUS,
 class PegPermutation:
     """A permutation with one decoration per element.
 
+    Its peg state, _key, is encoded on first use and is no part of equality,
+    hashing or repr; a peg too long for a state raises only when asked.
+
     >>> pp = PegPermutation((2, 1), ("+", "."))
     >>> str(pp)
     '2+ 1.'
@@ -122,6 +125,10 @@ class PegPermutation:
     def bullet_values(self) -> frozenset[int]:
         """Values carrying the bullet; invariant under oriented reversals."""
         return frozenset(v for v, d in zip(self.base, self.decorations) if d is DOT)
+
+    @cached_property
+    def _key(self) -> bytes:
+        return _peg_key(self.base, self.decorations)
 
 
 def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
@@ -164,8 +171,11 @@ def _peg_key(base: Perm, decorations: Sequence[str]) -> bytes:
 
 
 def _peg_of_key(key: bytes) -> PegPermutation:
-    return PegPermutation(tuple(b // 3 for b in key),
-                          tuple(_CODES[b % 3] for b in key))
+    """The peg of a state, carrying that state."""
+    pp = PegPermutation(tuple(b // 3 for b in key),
+                        tuple(_CODES[b % 3] for b in key))
+    vars(pp)["_key"] = key
+    return pp
 
 
 @cache
@@ -209,12 +219,11 @@ def _pattern_keys(key: bytes) -> set[bytes]:
     return _closure(_closure({key}, _peg_deletions), _peg_weakenings) - {key}
 
 
-def _clean_compact_keys(n: int) -> Iterator[bytes]:
-    """The clean compact states of length n, in enumerate_clean_compact's
-    order: base lexicographic, then codes with + < - < bullet."""
+def _peg_keys(n: int) -> Iterator[bytes]:
+    """Every peg state of length n in rank order: base lexicographic, then
+    codes with + < - < bullet."""
     for base in itertools.permutations(range(3, 3 * n + 3, 3)):
-        yield from filter(_is_clean_compact_key, map(bytes, itertools.product(
-            *(range(t, t + 3) for t in base))))
+        yield from map(bytes, itertools.product(*(range(t, t + 3) for t in base)))
 
 
 def _oriented(i: int, j: int) -> Callable[[bytes], bytes]:
@@ -318,7 +327,7 @@ def oriented_reversal(pp: PegPermutation, i: int, j: int) -> PegPermutation:
     """
     if not (1 <= i <= j <= len(pp)):
         raise IndexError(f"reversal indices out of range: i={i}, j={j}, n={len(pp)}")
-    return _peg_of_key(_oriented(i - 1, j)(_peg_key(pp.base, pp.decorations)))
+    return _peg_of_key(_oriented(i - 1, j)(pp._key))
 
 
 def oriented_prefix_reversal(pp: PegPermutation, j: int) -> PegPermutation:
@@ -352,7 +361,7 @@ def proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
     >>> sorted(str(q) for q in proper_patterns(parse_peg("2+ 1.")))
     ['', '1+', '1.', '2. 1.']
     """
-    return set(map(_peg_of_key, _pattern_keys(_peg_key(pp.base, pp.decorations))))
+    return set(map(_peg_of_key, _pattern_keys(pp._key)))
 
 
 def clean_compact_proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
@@ -362,7 +371,7 @@ def clean_compact_proper_patterns(pp: PegPermutation) -> set[PegPermutation]:
     ['', '1+', '1.']
     """
     return {_peg_of_key(s)
-            for s in _pattern_keys(_peg_key(pp.base, pp.decorations))
+            for s in _pattern_keys(pp._key)
             if _is_clean_compact_key(s)}
 
 
@@ -448,7 +457,7 @@ def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
-    yield from map(_peg_of_key, _clean_compact_keys(n))
+    yield from map(_peg_of_key, filter(_is_clean_compact_key, _peg_keys(n)))
 
 
 def parse_peg(text: str) -> PegPermutation:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from . import reference
@@ -32,7 +32,7 @@ from .generators import generating_set, prd_generating_set, rd_inflate_step
 from .inflation import (grid_enumerate, grid_member, legal_vectors,
                         monotone_inflate)
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
-                  _clean_compact_keys, _is_clean_compact_key, _peg_deletions,
+                  _is_clean_compact_key, _peg_deletions, _peg_keys,
                   _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
                   enumerate_clean_compact, exceptional, format_peg,
                   is_clean_compact, parse_peg, peg_of, peg_pattern_contains,
@@ -267,9 +267,7 @@ def paper_suite() -> list[CheckResult]:
 # properties suite
 
 def _all_pegs(m: int):
-    for base in permutations(range(1, m + 1)):
-        for decs in product(tuple(Decoration), repeat=m):
-            yield PegPermutation(base, decs)
+    return map(_peg_of_key, _peg_keys(m))
 
 
 def _grid_upto(pp: PegPermutation, n_max: int) -> set[Perm]:
@@ -423,7 +421,7 @@ def _check_reduced_pattern() -> CheckResult:
     fails = []
     gaps = set()
     for n in range(2, 7):
-        for key in _clean_compact_keys(n):
+        for key in filter(_is_clean_compact_key, _peg_keys(n)):
             has = any(map(_is_clean_compact_key, _peg_deletions(key)))
             if n > 4 and has:
                 continue

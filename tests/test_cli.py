@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -8,10 +9,10 @@ from pegball import reference
 from pegball import cli
 from pegball.basis import m_set, peg_basis, standard_basis
 from pegball.cli import main
-from pegball.distance import Model
+from pegball.distance import Model, distance
 from pegball.enumeration import CountMethod, sequence
 from pegball.peg import format_peg, parse_peg
-from pegball.perm import format_perm
+from pegball.perm import contains_pattern, format_perm
 
 
 def run_cli(capsys, *argv):
@@ -126,7 +127,29 @@ def test_member_limit_is_not_a_k_limit(capsys, monkeypatch):
                            "3 4 1 2")
     assert code == 0
     assert "contains basis element 2 3 1" in out
-    assert calls and all("k_limit" not in kw for kw in calls)
+    assert calls == []  # the violated member is found without the basis
+
+
+def test_member_walk_names_the_least_contained_basis_member():
+    for model, k in [("rd", k) for k in range(3)] + [("prd", k) for k in range(5)]:
+        model = Model(model)
+        basis = sorted(standard_basis(model, k), key=lambda b: (len(b), b))
+        for n in range(1, 7):
+            for p in itertools.permutations(range(1, n + 1)):
+                if distance(model, p) > k:
+                    want = next(b for b in basis if contains_pattern(b, p))
+                    assert cli._violated(model, k, p, None, None) == want, p
+
+
+def test_member_rd_k3_without_the_basis(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("member built a basis")
+
+    monkeypatch.setattr(basis_module, "_sweep", refuse)
+    code, out, _ = run_cli(capsys, "member", "--k", "3", "2 4 6 8 1 3 5 7")
+    assert code == 0
+    assert out == ("not a member (distance 5), "
+                   "contains basis element 2 3 5 6 1 4\n")
 
 
 def test_grid_member(capsys):

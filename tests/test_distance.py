@@ -5,6 +5,7 @@ import stat
 import sys
 import zlib
 from collections import Counter
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 from pegball import reference
 from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
                            standard_basis_bound)
-from pegball.distance import (DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs, _moves, _peg_component,
+from pegball.distance import (_PEG_DISTANCES, _READS, _STANDARD_TABLES,
+                              DistanceTable, Model, ResourceLimitError,
+                              TableKind, _frontier_bfs, _moves, _peg_distance,
                               _standard_search, _standard_table, ball,
                               breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
@@ -214,7 +216,10 @@ def test_peg_components_satisfy_bellman(model):
                     if {v for v, d in zip(base, decs) if d == "."} == bullets]
             goal = PegPermutation(identity(n), ["." if v in bullets else "+"
                                                 for v in identity(n)])
-            comp = _peg_component(model, _peg_key(goal.base, goal.decorations))
+            # one miss merges exactly the goal's component into the memo
+            clear_memory_cache()
+            assert _peg_distance(model, goal._key) == 0
+            comp = _PEG_DISTANCES[model]
             dist = {_peg_of_key(key): d for key, d in comp.items()}
             assert len(dist) == len(comp)
             _assert_bellman(dist, pegs, goal,
@@ -490,6 +495,69 @@ def test_warm_reads_skip_checks_and_environment(monkeypatch):
     assert distance_peg(Model.RD, parse_peg("3+ 1- 2.")) == 2
     with pytest.raises(Refused):
         distance(Model.PRD, (3, 1, 4, 2, 6))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_warm_distance_peg_encodes_and_searches_nothing(model, monkeypatch):
+    pp = parse_peg("3+ 1- 4. 2+")
+    want = distance_peg(model, pp)
+    moved = oriented_reversal(pp, 1, 2)  # decoded from a state, carrying it
+    want_moved = distance_peg(model, parse_peg(str(moved)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm peg distance encoded or searched")
+
+    monkeypatch.setattr(sys.modules[PegPermutation.__module__], "_peg_key",
+                        refuse)
+    monkeypatch.setattr(sys.modules[distance.__module__], "_peg_key", refuse)
+    monkeypatch.setattr(sys.modules[distance.__module__], "_frontier_bfs",
+                        refuse)
+    assert distance_peg(model, pp) == want
+    assert distance_peg(model, moved) == want_moved
+
+
+def test_long_peg_builds_and_refuses_only_its_distance():
+    base = tuple(range(100, 0, -1))
+    decs = ("-", ".", "+", "-") * 25
+    pp = PegPermutation(base, decs)
+    text = " ".join(f"{v}{d}" for v, d in zip(base, decs))
+    assert str(pp) == format_peg(pp) == text and len(pp) == 100
+    assert parse_peg(text) == pp and hash(parse_peg(text)) == hash(pp)
+    assert {pp: 1}[PegPermutation(list(base), "".join(decs))] == 1
+    with pytest.raises(ResourceLimitError):
+        distance_peg(Model.RD, pp)
+    with pytest.raises(ResourceLimitError):
+        distance_peg(Model.PRD, pp, limit=200)
+    with pytest.raises(ValueError, match="at most 84 entries"):
+        pp._key
+    assert str(pp) == text  # a failed encoding leaves the peg as it was
+
+
+def test_get_table_applies_the_limit_before_reading(tmp_path, monkeypatch):
+    clear_memory_cache()
+    n = 10
+    data = bytearray(factorial(n))
+    data[factorial(n - 1)] = 1  # passes every check load makes
+    DistanceTable(Model.PRD, TableKind.STANDARD, n, bytes(data)).save(
+        cache_path(tmp_path, Model.PRD, TableKind.STANDARD, n))
+    assert DistanceTable.load(
+        cache_path(tmp_path, Model.PRD, TableKind.STANDARD, n)).n == n
+    get_table(Model.PRD, 3, TableKind.PEG, cache_dir=tmp_path)
+    loads = []
+    real_load = DistanceTable.load.__func__
+
+    def recording_load(cls, path):
+        loads.append(path)
+        return real_load(cls, path)
+
+    monkeypatch.setattr(DistanceTable, "load", classmethod(recording_load))
+    with pytest.raises(ResourceLimitError):
+        get_table(Model.PRD, n, cache_dir=tmp_path)
+    with pytest.raises(ResourceLimitError):
+        get_table(Model.PRD, 3, TableKind.PEG, cache_dir=tmp_path, limit=2)
+    assert loads == []
+    assert (Model.PRD, n) not in _STANDARD_TABLES
+    assert not any(key[1] == n for key in _READS)
 
 
 def test_clear_memory_cache_clears_read_memos(tmp_path, monkeypatch):

@@ -249,3 +249,31 @@ def test_oriented_move_reverses_and_flips_signs():
                     + tuple(_FLIP[d] for d in pp.decorations[i:j][::-1])
                     + pp.decorations[j:])
                 assert _peg_of_key(_oriented(i, j)(key)) == want
+
+
+def test_carried_state_is_the_encoding():
+    from pegball.basis import peg_basis
+
+    def states_agree(pps):
+        for pp in pps:
+            assert pp._key == _peg_key(pp.base, pp.decorations), pp
+
+    states_agree([parse_peg("3+ 1- 4. 2+"), parse_peg("")])
+    states_agree(_peg_of_key(_peg_key(pp.base, pp.decorations))
+                 for n in range(4) for pp in _all_pegs(n))
+    pp = parse_peg("3+ 1- 5. 2+ 4-")
+    states_agree(oriented_reversal(pp, i, j)
+                 for i in range(1, 6) for j in range(i, 6))
+    for model, k in ((Model.RD, 1), (Model.PRD, 2)):
+        states_agree(peg_basis(model, k).members)
+
+
+def test_state_takes_no_part_in_equality():
+    for text in ("3+ 1- 4. 2+", "1.", ""):
+        pp, fresh = parse_peg(text), parse_peg(text)
+        assert pp._key == _peg_key(fresh.base, fresh.decorations)
+        assert "_key" not in vars(fresh)
+        assert pp == fresh and hash(pp) == hash(fresh)
+        assert repr(pp) == repr(fresh) and {pp} == {fresh}
+        decoded = _peg_of_key(pp._key)
+        assert decoded == fresh and hash(decoded) == hash(fresh)
