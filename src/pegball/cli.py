@@ -66,7 +66,36 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> _Parser:
+_PERM = "perm", dict(metavar="PERM")
+_PEG = "pegperm", dict(metavar="PEGPERM")
+_K = "--k", dict(type=nonnegative_int, required=True)
+
+# each subcommand's help and the arguments it adds to the common ones
+_SUBCOMMANDS = {
+    "distance": ("exact distance of a permutation", [_PERM]),
+    "peg-distance": ("exact distance of a peg permutation", [_PEG]),
+    "peg": ("collapse a permutation to its peg permutation", [_PERM]),
+    "generate": ("k-generating peg permutations", [_K]),
+    "peg-basis": ("clean compact peg basis of the radius-k ball", [_K]),
+    "basis": ("standard basis with M-set provenance", [
+        _K, ("--cap", dict(
+            metavar="L", type=nonnegative_int, default=None,
+            help="length cap for the basis sweep and the M-set search"))]),
+    "enumerate": ("ball sizes for n = 1 .. n-max", [
+        _K, ("--n-max", dict(type=nonnegative_int, required=True)),
+        ("--method", dict(choices=sorted(m.value for m in CountMethod),
+                          default="bfs"))]),
+    "member": ("ball membership with a witness or violation", [_K, _PERM]),
+    "grid-member": ("grid-class membership", [_PEG, _PERM]),
+    "verify": ("recompute reference values and check invariants", [
+        ("--suite", dict(choices=("paper", "properties", "all"),
+                         default="all"))]),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The pegball parser with every subcommand, or with command's alone:
+    parsing an argv whose first token is command needs no other."""
     common = _Parser(add_help=False)
     common.add_argument("--model", choices=("rd", "prd"), default="rd",
                         help="reversal (rd) or prefix reversal (prd) model")
@@ -85,55 +114,11 @@ def build_parser() -> _Parser:
                      description="Distance balls of permutations under "
                                  "reversals and prefix reversals.")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    p = sub.add_parser("distance", parents=[common],
-                       help="exact distance of a permutation")
-    p.add_argument("perm", metavar="PERM")
-
-    p = sub.add_parser("peg-distance", parents=[common],
-                       help="exact distance of a peg permutation")
-    p.add_argument("pegperm", metavar="PEGPERM")
-
-    p = sub.add_parser("peg", parents=[common],
-                       help="collapse a permutation to its peg permutation")
-    p.add_argument("perm", metavar="PERM")
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="k-generating peg permutations")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-
-    p = sub.add_parser("peg-basis", parents=[common],
-                       help="clean compact peg basis of the radius-k ball")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-
-    p = sub.add_parser("basis", parents=[common],
-                       help="standard basis with M-set provenance")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--cap", metavar="L", type=nonnegative_int, default=None,
-                   help="length cap for the basis sweep and the M-set search")
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="ball sizes for n = 1 .. n-max")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--n-max", type=nonnegative_int, required=True)
-    p.add_argument("--method", choices=sorted(m.value for m in CountMethod),
-                   default="bfs")
-
-    p = sub.add_parser("member", parents=[common],
-                       help="ball membership with a witness or violation")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("perm", metavar="PERM")
-
-    p = sub.add_parser("grid-member", parents=[common],
-                       help="grid-class membership")
-    p.add_argument("pegperm", metavar="PEGPERM")
-    p.add_argument("perm", metavar="PERM")
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="recompute reference values and check invariants")
-    p.add_argument("--suite", choices=("paper", "properties", "all"),
-                   default="all")
-
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -268,7 +253,8 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

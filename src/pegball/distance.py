@@ -37,7 +37,8 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import compress, filterfalse, permutations, product, repeat
+from itertools import (combinations, compress, filterfalse, permutations,
+                       product, repeat)
 from math import factorial
 from operator import itemgetter, not_
 from pathlib import Path
@@ -116,9 +117,11 @@ def _check_model(model: Model) -> None:
         raise TypeError(f"model must be a Model, not {model!r}")
 
 
+@cache
 def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
     """The blocks [i, j) a move may reverse: any block for reversals, a
-    prefix for prefix reversals, of at least shortest entries."""
+    prefix for prefix reversals, of at least shortest entries.  Memoized per
+    (model, n, shortest); callers must not change the list."""
     _check_model(model)
     starts = range(n) if model is Model.RD else (0,)
     return [(i, j) for i in starts for j in range(i + shortest, n + 1)]
@@ -130,12 +133,6 @@ def _moves(model: Model, n: int) -> list[itemgetter]:
     Memoized per (model, n); callers must not change the list."""
     return [itemgetter(*range(i), *range(j - 1, i - 1, -1), *range(j, n))
             for i, j in _blocks(model, n, 2)]
-
-
-@cache
-def _block_moves(model: Model, n: int) -> list[tuple[int, int, itemgetter]]:
-    """Each block [i, j) with its move in _moves(model, n); memoized too."""
-    return [(*ij, move) for ij, move in zip(_blocks(model, n, 2), _moves(model, n))]
 
 
 def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
@@ -340,17 +337,36 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     Kececioglu & Sankoff (1995), with no table, so p may be far longer than the
     BFS limits.  A breakpoint of s is a pair (f_x, f_x+1) of its frame
     f = (L, s_1, ..., s_n, n+1) that differs by other than 1, with L = 0 for
-    reversals and -1, adjacent to no value, for prefix reversals.  The identity
-    has none, or only the one at L; a move repairs at most two, or one, so
-    h = ceil(bp/2), or bp - 1, never exceeds the distance.  Delta rule:
-    reversing the block [i, j) of s turns only the pairs (f_i, f_i+1) and
-    (f_j, f_j+1) into (f_i, f_j) and (f_i+1, f_j+1); for a prefix reversal
-    i = 0, and both pairs at L are breaks.  So the search counts a child's
-    breakpoints from its parent's by four comparisons, building only children
-    with g + 1 + h <= limit: the test, moves and order of a search that builds
-    every child, so the same tree and answer.  A child passing with no move
-    left has the identity's breakpoints, so it is the identity; no shallower
-    node is, as the first limit max(h, 1) <= distance and all smaller failed.
+    reversals and -1, adjacent to no value, for prefix reversals; brk_x marks
+    it.  The identity has none, or only the one at L; a move repairs at most
+    two, or one, so h = ceil(bp/2), or bp - 1, never exceeds the distance.
+
+    Delta rule: reversing the block [i, j) of s reverses f_i+1..f_j, so the
+    child's frame is the parent's with that slice reversed, and its break
+    vector the parent's with brk_i+1..brk_j-1 reversed and brk_i, brk_j set
+    to the new pairs (f_i, f_j) and (f_i+1, f_j+1); for a prefix reversal
+    i = 0, and both pairs at L are breaks.  The search hands both down by
+    slicing and counts a child's breakpoints from its parent's by four
+    comparisons, entering only children with g + 1 + h <= limit: those with
+    delta <= room, the breaks the child may have beyond its parent's.
+
+    Candidates: a node is entered only when h <= r, so room >= -2 for
+    reversals and >= -1 for prefix reversals.  At room >= 0 every block is
+    tested.  At a negative room only blocks that can pass are, and in (i, j)
+    order, so the passing children and their order, hence the search tree
+    and the answer, are those of a search that tests every block:
+
+    - reversal, room -2: delta = -2 needs brk_i and brk_j both set;
+    - reversal, room -1: delta <= -1 needs an end x with brk_x set and a new
+      pair that is no break.  If it is (f_i, f_j), the other end is the
+      position of f_x +- 1; if (f_i+1, f_j+1), it is the position of
+      f_x+1 +- 1, less one;
+    - prefix reversal, room -1: (L, f_j) stays a break and brk_0 is set, so
+      delta = -1 needs brk_j set and f_j+1 = f_1 +- 1: at most two j.
+
+    A child passing with no move left has the identity's breakpoints, so it
+    is the identity; no shallower node is, as the first limit max(h, 1) <=
+    distance and all smaller failed.
 
     >>> distance_bounded(Model.RD, (4, 5, 6, 1, 2, 3), 3)
     3
@@ -362,23 +378,50 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     n = len(p)
     if p == identity(n):
         return 0
-    rd, left = model is Model.RD, 0 if model is Model.RD else -1
+    rd = model is Model.RD
 
-    def dfs(s: Perm, r: int) -> bool:
-        # s is not the identity, and h(s) <= r: a path of r moves?
-        f = (left, *s, n + 1)
-        brk = [abs(a - b) != 1 for a, b in zip(f, f[1:])]
-        room = (2 * r - 2 if rd else r) - sum(brk)
-        for i, j, move in _block_moves(model, n):
-            delta = ((abs(f[i] - f[j]) != 1) + (abs(f[i + 1] - f[j + 1]) != 1)
-                     - brk[i] - brk[j])
-            if delta <= room and (r == 1 or dfs(move(s), r - 1)):
+    def dfs(f: tuple, brk: tuple, bp: int, r: int) -> bool:
+        # f frames a non-identity state with bp breaks brk, and h <= r:
+        # a path of r moves?
+        room = (2 * r - 2 if rd else r) - bp
+        if room >= 0:
+            blocks = _blocks(model, n, 2)
+        elif not rd:
+            blocks = [(0, j) for j in sorted(f.index(v) - 1 for v in
+                                             (f[1] - 1, f[1] + 1) if v)
+                      if j >= 2 and brk[j]]
+        elif room == -2:
+            blocks = [(i, j) for i, j in
+                      combinations(compress(range(n + 1), brk), 2) if j - i >= 2]
+        else:
+            ends = set()
+            for x in compress(range(n + 1), brk):
+                for v, shift in ((f[x] - 1, 0), (f[x] + 1, 0),
+                                 (f[x + 1] - 1, 1), (f[x + 1] + 1, 1)):
+                    if 0 <= v <= n + 1:
+                        y = f.index(v) - shift
+                        ends.add((x, y) if x < y else (y, x))
+            blocks = sorted((i, j) for i, j in ends
+                            if i >= 0 and j <= n and j - i >= 2)
+        for i, j in blocks:
+            new_i = abs(f[i] - f[j]) != 1
+            new_j = abs(f[i + 1] - f[j + 1]) != 1
+            delta = new_i + new_j - brk[i] - brk[j]
+            if delta <= room and (r == 1 or dfs(
+                    f[:i + 1] + f[j:i:-1] + f[j + 1:],
+                    brk[:i] + (new_i,) + brk[j - 1:i:-1] + (new_j,) + brk[j + 1:],
+                    bp + delta, r - 1)):
                 return True
         return False
 
-    bp = sum(abs(a - b) != 1 for a, b in zip((left, *p), (*p, n + 1)))
+    f = (0 if rd else -1, *p, n + 1)
+    # from a list: a tuple built from a generator is grown by resizing, not
+    # drawn from CPython's per-size free list, yet joins that list when
+    # freed; one per call fills the lists (2,000 per size), megabytes
+    brk = tuple([abs(a - b) != 1 for a, b in zip(f, f[1:])])
+    bp = sum(brk)
     for limit in range(max((bp + 1) // 2 if rd else bp - 1, 1), bound + 1):
-        if dfs(p, limit):
+        if dfs(f, brk, bp, limit):
             return limit
     return None
 

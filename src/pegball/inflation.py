@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from operator import gt, sub
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .peg import (DOT, MINUS, Decoration, PegPermutation, _closure, _linked,
@@ -83,38 +83,54 @@ def _grid_search(pp: PegPermutation, gb: Perm,
     decoration (bullets of size <= 1), and the blocks' value intervals stack
     in pp's base order.  With decorations gd, every entry of a block must
     also be a bullet or carry its element's decoration.
+
+    The elements are placed left to right, each block longest first and the
+    empty block last.  A block is placed only if its value interval lies on
+    the side of every block already placed that the base order requires:
+    above those of the smaller base values, below those of the larger.  The
+    blocks partition gb's positions, so their value sets partition 1..n and
+    each, being consecutive values, is an interval; disjoint intervals that
+    cover 1..n and are pairwise ordered as the base is stack in base order.
+    So a placement that uses every position is a segmentation, and the
+    pairwise test is exactly the stacking.
     """
     m, n = len(pp), len(gb)
-    # each block's (lowest value - 1, highest value), or None if empty
-    blocks: list[tuple[int, int] | None] = [None] * m
+    base, decs = pp.base, pp.decorations
+    # each placed block's values (low, high]; an empty block is (n, 0),
+    # which bounds no other block
+    low, high = [n] * m, [0] * m
 
     def rec(pos: int, idx: int) -> bool:
-        if idx == m:  # in base order, each block starts where the last ended
-            if pos < n:
-                return False
-            ends = [0, *(x for _, b in sorted(zip(pp.base, blocks)) if b
-                         for x in b), n]
-            return ends[::2] == ends[1::2]
-        d = pp.decorations[idx]
-        blocks[idx] = None
-        if rec(pos, idx + 1):
+        if pos == n:  # the blocks left are empty
             return True
-        if pos == n or (gd is not None and gd[pos] not in (DOT, d)):
+        if idx == m:
             return False
-        step = -1 if d is MINUS else 1
-        limit = 1 if d is DOT else n - pos
-        end = pos + 1
-        while True:
-            # a block ascends by step 1 or descends by step -1
-            blocks[idx] = ((gb[pos] - 1, gb[end - 1]) if step == 1
-                           else (gb[end - 1] - 1, gb[pos]))
-            if rec(end, idx + 1):
-                return True
-            if (end - pos >= limit or end == n
-                    or gb[end] - gb[end - 1] != step
-                    or (gd is not None and gd[end] not in (DOT, d))):
-                return False
-            end += 1
+        d, a, b = decs[idx], gb[pos], base[idx]
+        # the block's values must lie in (floor, ceil]
+        floor, ceil = 0, n
+        for k in range(idx):
+            if base[k] < b:
+                if high[k] > floor:
+                    floor = high[k]
+            elif low[k] < ceil:
+                ceil = low[k]
+        if floor < a <= ceil and (gd is None or gd[pos] in (DOT, d)):
+            end = pos + 1
+            if d is not DOT:
+                # a block ascends by step 1 or descends by step -1
+                step = -1 if d is MINUS else 1
+                last = pos + (a - floor if step < 0 else ceil - a + 1)
+                while (end < last and end < n and gb[end] - gb[end - 1] == step
+                       and (gd is None or gd[end] in (DOT, d))):
+                    end += 1
+            while end > pos:
+                low[idx], high[idx] = ((gb[end - 1] - 1, a) if d is MINUS
+                                       else (a - 1, gb[end - 1]))
+                if rec(end, idx + 1):
+                    return True
+                end -= 1
+        low[idx], high[idx] = n, 0
+        return rec(pos, idx + 1)
 
     return rec(0, 0)
 
@@ -148,18 +164,32 @@ def grid_member_peg(pp: PegPermutation, g: PegPermutation) -> bool:
 
 def _compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
     """Vectors v summing to total with 0 <= v[i] <= caps[i], in lexicographic
-    order: stars and bars, as v's partial sums before its last entry are the
-    nondecreasing sequences over 0..total, taken in lexicographic order."""
+    order.  Uncapped, by stars and bars: v's partial sums before its last
+    entry are the nondecreasing sequences over 0..total, taken in
+    lexicographic order.  Capped, each entry takes in turn the values that
+    leave a remainder the later caps can hold, so no vector is discarded."""
     if not caps:
         if total == 0:
             yield ()
         return
-    bounded = min(caps) < total
-    for cuts in itertools.combinations_with_replacement(range(total + 1),
-                                                        len(caps) - 1):
-        v = tuple(map(sub, cuts + (total,), (0,) + cuts))
-        if not (bounded and any(map(gt, v, caps))):
-            yield v
+    if min(caps) >= total >= 0:
+        for cuts in itertools.combinations_with_replacement(
+                range(total + 1), len(caps) - 1):
+            yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+        return
+    # room[i]: the most that entries i.. can hold
+    room = [*itertools.accumulate(reversed(caps), initial=0)][::-1]
+
+    def fill(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        if i == len(caps):
+            yield ()
+            return
+        for x in range(max(left - room[i + 1], 0), min(caps[i], left) + 1):
+            for rest in fill(i + 1, left - x):
+                yield (x, *rest)
+
+    if total <= room[0]:
+        yield from fill(0, total)
 
 
 def legal_vectors(pp: PegPermutation, total: int) -> Iterator[InflationVector]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from functools import cache
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from . import reference
@@ -29,8 +30,7 @@ from .distance import (Model, TableKind, _bullet_ball_level, _peg_ball_level,
                        lower_bound, pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
-from .inflation import (grid_enumerate, grid_member, legal_vectors,
-                        monotone_inflate)
+from .inflation import _inflations, _plan, grid_enumerate, grid_member
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
                   _is_clean_compact_key, _peg_deletions, _peg_keys,
                   _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
@@ -350,6 +350,18 @@ def _check_lower_bounds() -> CheckResult:
                    f"{count} clean compact pegs of length <= 5")
 
 
+def _inflation_set(pp: PegPermutation, n: int) -> set[Perm]:
+    """Every pp[v] of length n: one plan, each bullet kept or deleted, and
+    the rest of n spread over the signs."""
+    plan = _plan(pp.base, pp.decorations)
+    out: set[Perm] = set()
+    for floor in product(*((0, 1) if d is Decoration.DOT else (0,)
+                           for d in pp.decorations)):
+        if sum(floor) <= n:
+            out.update(_inflations(plan, floor, n))
+    return out
+
+
 def _check_grid_member(rng: random.Random) -> CheckResult:
     small_pegs = [pp for m in (1, 2, 3) for pp in _all_pegs(m)]
     small_perms = [p for n in (1, 2, 3, 4, 5)
@@ -359,9 +371,9 @@ def _check_grid_member(rng: random.Random) -> CheckResult:
               for _ in range(150)]
     pairs += [(_random_peg(rng, rng.randint(1, 3)),
                _random_perm(rng, rng.randint(6, 7))) for _ in range(100)]
+    inflations = cache(_inflation_set)  # per (peg, length), for this run
     fails = [f"{format_peg(pp)} vs {format_perm(g)}" for pp, g in pairs
-             if grid_member(pp, g) != any(monotone_inflate(pp, v) == g
-                                          for v in legal_vectors(pp, len(g)))]
+             if grid_member(pp, g) != (g in inflations(pp, len(g)))]
     return _result("properties", "grid-member", fails,
                    f"{len(pairs)} pairs: exhaustive |pp| <= 3 x |g| <= 5, "
                    "sampled up to |pp| = 4, |g| = 7")

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -241,6 +242,34 @@ def test_avoid_count_past_state_limit(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "SUBCOMMAND" in capsys.readouterr().out
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_command_builds_only_its_subparser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["distance", "3412"], ["--json", "distance", "3412"],
+                 ["no-such-command"], []):
+        main(argv)
+    capsys.readouterr()
+    assert built == ["distance", None, None, None]
+    full = _subparsers(build())
+    assert len(full) == len(cli._SUBCOMMANDS)
+    for name, sub in full.items():
+        alone = build(name)
+        assert list(_subparsers(alone)) == [name]
+        assert alone.format_usage() == build().format_usage()
+        assert _subparsers(alone)[name].format_help() == sub.format_help()
 
 
 def test_verify_properties_exit_code(capsys, monkeypatch):

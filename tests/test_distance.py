@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import re
 import stat
 import sys
@@ -24,6 +25,7 @@ from pegball.distance import (_PEG_DISTANCES, _READS, _STANDARD_TABLES,
                               lower_bound, pair_distance)
 from pegball.enumeration import CountMethod, count_ball
 from pegball.generators import generating_set, is_generating
+from pegball.inflation import monotone_inflate
 from pegball.peg import (PegPermutation, _peg_key, _peg_of_key, format_peg,
                          oriented_prefix_reversal, oriented_reversal,
                          parse_peg)
@@ -158,6 +160,72 @@ def test_distance_bounded_on_long_inflations(model, peg, sizes):
     assert distance_bounded(m, p, d) == d
     assert distance_bounded(m, p, d + 2) == d
     assert distance_bounded(m, p, d - 1) is None
+
+
+def _reference_bounded(model, p, bound):
+    """The IDA* that builds every child: each node rebuilds its frame and
+    breaks and tests every block, in (i, j) order."""
+    n, rd = len(p), model is Model.RD
+    if p == identity(n):
+        return 0
+    left = 0 if rd else -1
+    blocks = [(i, j) for i in (range(n) if rd else (0,))
+              for j in range(i + 2, n + 1)]
+
+    def dfs(s, r):
+        f = (left, *s, n + 1)
+        brk = [abs(a - b) != 1 for a, b in zip(f, f[1:])]
+        room = (2 * r - 2 if rd else r) - sum(brk)
+        for i, j in blocks:
+            delta = ((abs(f[i] - f[j]) != 1) + (abs(f[i + 1] - f[j + 1]) != 1)
+                     - brk[i] - brk[j])
+            if delta <= room and (r == 1 or dfs(s[:i] + s[i:j][::-1] + s[j:],
+                                                r - 1)):
+                return True
+        return False
+
+    bp = sum(abs(a - b) != 1 for a, b in zip((left, *p), (*p, n + 1)))
+    for limit in range(max((bp + 1) // 2 if rd else bp - 1, 1), bound + 1):
+        if dfs(p, limit):
+            return limit
+    return None
+
+
+def _assert_bounded_matches_reference(model, p, d_max):
+    d = _reference_bounded(model, p, d_max)
+    assert d is not None, p
+    for bound in range(d + 2):
+        assert (distance_bounded(model, p, bound)
+                == _reference_bounded(model, p, bound)), (p, bound)
+
+
+@pytest.mark.parametrize("model,k_max", [(Model.RD, 2), (Model.PRD, 3)])
+def test_distance_bounded_matches_reference_on_long_inflations(model, k_max):
+    # nearly every node meets the bound with no room to spare (room < 0)
+    rng = random.Random(18)
+    for k in range(k_max + 1):
+        for pp in generating_set(model, k).sorted_members():
+            for _ in range(6):
+                length = rng.randint(12, 20)
+                cuts = sorted(rng.sample(range(1, length), len(pp) - 1))
+                p = monotone_inflate(pp, [b - a for a, b in
+                                          zip([0, *cuts], [*cuts, length])])
+                _assert_bounded_matches_reference(model, p, k)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_distance_bounded_matches_reference_on_long_scrambles(model):
+    # the breakpoint bound is often short of the distance here, so deeper
+    # limits search nodes with room >= 0
+    rng = random.Random(18)
+    for _ in range(20):
+        p = list(range(1, rng.randint(12, 16) + 1))
+        n = len(p)
+        for _ in range(4):
+            i, j = (sorted(rng.sample(range(n), 2)) if model is Model.RD
+                    else (0, rng.randint(1, n - 1)))
+            p[i:j + 1] = p[i:j + 1][::-1]
+        _assert_bounded_matches_reference(model, tuple(p), 4)
 
 
 def test_ball():

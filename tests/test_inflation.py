@@ -11,6 +11,12 @@ from pegball.inflation import (_compositions, _sub_pegs, a_set_stream,
 from pegball.peg import PegPermutation, format_peg, parse_peg, peg_of
 
 
+def _all_pegs(m_max):
+    return [PegPermutation(base, decs) for m in range(m_max + 1)
+            for base in itertools.permutations(range(1, m + 1))
+            for decs in itertools.product("+-.", repeat=m)]
+
+
 def test_is_legal():
     b = parse_peg("2+ 1+")
     assert is_legal(b, (0, 0))
@@ -64,6 +70,18 @@ def test_compositions_match_product_filter():
             assert list(_compositions(caps, total)) == want, (caps, total)
 
 
+def test_legal_vectors_match_product_filter():
+    # in lexicographic order, and none for a negative total
+    for pp in _all_pegs(3):
+        for total in range(-1, 7):
+            want = [v for v in itertools.product(
+                        *(range(2 if d == "." else total + 1)
+                          for d in format_peg(pp)[1::3]))
+                    if sum(v) == total]
+            assert list(legal_vectors(pp, total)) == want, (pp, total)
+    assert len(list(legal_vectors(parse_peg("1. 2. 3. 4+"), 7))) == 8
+
+
 def test_vector_and_stream_order():
     pp = parse_peg("2+ 4. 1- 3+")
     assert list(legal_vectors(pp, 3)) == [
@@ -86,6 +104,20 @@ def test_grid_member():
     assert grid_member(b, (1, 2, 3))  # v = (0, 3)
     assert not grid_member(b, (3, 2, 1))
     assert grid_member(b, ())
+
+
+def test_grid_member_matches_inflation_sets():
+    # exhaustive: every peg of length <= 3 against every permutation of
+    # length <= 6, and its decorated form against every peg of length <= 4
+    perms = [p for n in range(7) for p in itertools.permutations(range(1, n + 1))]
+    pegs = _all_pegs(4)
+    for pp in _all_pegs(3):
+        plain = {monotone_inflate(pp, v)
+                 for n in range(7) for v in legal_vectors(pp, n)}
+        assert {p for p in perms if grid_member(pp, p)} == plain, pp
+        decorated = set().union(*(peg_monotone_inflate(pp, v) for n in range(5)
+                                  for v in legal_vectors(pp, n)))
+        assert {q for q in pegs if grid_member_peg(pp, q)} == decorated, pp
 
 
 def test_grid_enumerate():
