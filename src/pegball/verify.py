@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from . import reference
@@ -30,7 +30,8 @@ from .distance import (Model, TableKind, _bullet_ball_level, _peg_ball_level,
                        lower_bound, pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
-from .inflation import _inflations, _plan, grid_enumerate, grid_member
+from .inflation import (_inflations, _plan, grid_enumerate, grid_member,
+                        legal_vectors)
 from .peg import (Decoration, ExceptionalKind, PegPermutation,
                   _is_clean_compact_key, _peg_deletions, _peg_keys,
                   _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
@@ -351,15 +352,9 @@ def _check_lower_bounds() -> CheckResult:
 
 
 def _inflation_set(pp: PegPermutation, n: int) -> set[Perm]:
-    """Every pp[v] of length n: one plan, each bullet kept or deleted, and
-    the rest of n spread over the signs."""
+    """Every pp[v] of length n: one plan, inflated by each legal vector."""
     plan = _plan(pp.base, pp.decorations)
-    out: set[Perm] = set()
-    for floor in product(*((0, 1) if d is Decoration.DOT else (0,)
-                           for d in pp.decorations)):
-        if sum(floor) <= n:
-            out.update(_inflations(plan, floor, n))
-    return out
+    return {next(_inflations(plan, v, n)) for v in legal_vectors(pp, n)}
 
 
 def _check_grid_member(rng: random.Random) -> CheckResult:
