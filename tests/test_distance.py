@@ -531,6 +531,23 @@ def test_warm_distance_takes_any_sequence():
         distance(Model.PRD, (x for x in (3, 1, 4, 2, 2)))
 
 
+def test_distance_input_contract():
+    # the same answers and errors from a cold table (a miss runs every
+    # check) and from the warm tables the first pass built
+    clear_memory_cache()
+    for _ in range(2):
+        assert distance(Model.RD, [3, 4, 1, 2]) == 2
+        assert distance(Model.RD, (True,)) == 0
+        assert distance(Model.PRD, (2.0, 1.0)) == 1
+        assert distance(Model.RD, ()) == 0
+        for bad in ((1, 1), (0, 1), (256,), ("a",), ([1],)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"not a permutation of 1..{len(bad)}: {bad!r}")):
+                distance(Model.RD, bad)
+        with pytest.raises(ResourceLimitError):
+            distance(Model.RD, tuple(range(12, 0, -1)))
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_warm_distance_peg_matches_table(model):
     clear_memory_cache()
