@@ -1,20 +1,20 @@
 """Exact reversal / prefix-reversal distances for standard and peg permutations.
 
-One BFS engine serves both state kinds.  It is level-synchronous: each move
-is a callable on states, and a layer maps the whole frontier through every
-move with map and filterfalse.
+One BFS engine serves both state kinds, bytes of one byte per entry.  It is
+level-synchronous: each move is a callable on states, and a layer maps the
+whole frontier through every move with map and filterfalse.
 
-- Standard states are tuples and each move is an itemgetter over positions.
-  The tables over S_n are memoized per model and length as one tuple-keyed
-  dict.  Once the frontier outgrows half the unvisited states, a full-table
-  build turns bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited
-  permutation joins the layer when some move maps it onto the frontier.
-- Peg states are the bytes encoding owned by pegball.peg, one byte per
-  entry, so a move (peg._oriented) is a few C-level slices and a
-  translate.  Bullet values are invariant under oriented reversals, so the
-  peg state space splits by (length, bullet-value set) and each component
-  holds a single goal state.  Peg distances are memoized per model by
-  state; a miss merges in the state's whole component.
+- A standard state holds a permutation's values; a move is one translate
+  relabelling them by a block reversal r, s -> r s, where moving positions
+  gives s r.  From the identity, d moves of either kind reach the products
+  of d reversals: both give the word length, the distance.  A positional
+  path q = p r_1 ... r_d is a path inverse(q) = r_d ... r_1 inverse(p), as
+  r = r^-1, so pair_distance(p, q) searches from inverse(p) to inverse(q).
+- Peg states are the encoding owned by pegball.peg; a move (peg._oriented)
+  is a few slices and a translate.  Bullet values are invariant under
+  oriented reversals, so the peg state space splits by (length, bullet-value
+  set) and each component holds a single goal.  Peg distances are memoized
+  per model by state; a miss merges in the state's whole component.
 
 Bounded iterative-deepening A* with breakpoint heuristics gives one-off
 distances of permutations too long for tables.
@@ -27,7 +27,7 @@ dict when missing or corrupt.  Reads always go to the dict.
 A warm read is one memo probe and one table read: distance() memoizes its
 table per (model, n, cache_dir), where a hit is exactly a valid permutation,
 and distance_peg() reads the state its peg object encoded once.  A miss runs
-every check, and only a miss reads PEGBALL_CACHE.
+every check, and only a miss reads PEGBALL_CACHE.  Model hashes by identity.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from functools import cache
 from itertools import (combinations, compress, filterfalse, permutations,
                        product, repeat)
 from math import factorial
-from operator import itemgetter, not_
+from operator import methodcaller, not_
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .peg import (_UNSIGN, DOT, MINUS, PegPermutation, _oriented, _peg_key,
                   _peg_keys, _peg_of_key, strips)
-from .perm import Perm, check_permutation, identity
+from .perm import Perm, check_permutation, identity, inverse
 
 __all__ = [
     "Model",
@@ -75,6 +75,7 @@ __all__ = [
 class Model(Enum):
     RD = "rd"
     PRD = "prd"
+    __hash__ = object.__hash__  # singletons; Enum hashes the name in Python
 
 
 class TableKind(Enum):
@@ -128,10 +129,11 @@ def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _moves(model: Model, n: int) -> list[itemgetter]:
-    """Each move as an itemgetter: move(p) is p with one block reversed.
-    Memoized per (model, n); callers must not change the list."""
-    return [itemgetter(*range(i), *range(j - 1, i - 1, -1), *range(j, n))
+def _moves(model: Model, n: int) -> list[methodcaller]:
+    """Each move on standard states: relabel the values i+1..j of a block
+    [i, j) as j..i+1.  Memoized per (model, n); do not change the list."""
+    return [methodcaller("translate", bytes.maketrans(
+                bytes(range(i + 1, j + 1)), bytes(range(j, i, -1))))
             for i, j in _blocks(model, n, 2)]
 
 
@@ -143,12 +145,12 @@ def _peg_moves(model: Model, n: int) -> list[Callable[[bytes], bytes]]:
 # ---------------------------------------------------------------------------
 # BFS engines
 
-_STANDARD_TABLES: dict[tuple[Model, int], dict[Perm, int]] = {}
+_STANDARD_TABLES: dict[tuple[Model, int], dict[bytes, int]] = {}
 # model -> peg state -> distance, for every state of each component searched
 _PEG_DISTANCES: dict[Model, dict[bytes, int]] = {}
 # (model, n, cache_dir) -> the table distance() reads, persisted to the
 # directory (cache_dir, else PEGBALL_CACHE when made) if one was set
-_READS: dict[tuple[Model, int, str | Path | None], dict[Perm, int]] = {}
+_READS: dict[tuple[Model, int, str | Path | None], dict[bytes, int]] = {}
 
 
 def _frontier_bfs(starts: Iterable, moves: list[Callable],
@@ -160,10 +162,10 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
     Every move must be a bijection whose inverse is also a move.  space,
     for a caller that can list the whole state space, is (size, lister);
     once the frontier outgrows half the unvisited states, the search turns
-    bottom-up.  A bottom-up layer is exact: a neighbour of an unvisited
-    state lies at most one layer closer, so it is in the table only if it
-    is on the frontier.  The unvisited states are kept in a list and
-    selected with compress, so the listed states themselves become keys.
+    bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited state joins
+    the layer if a move maps it onto the frontier, exactly, as a neighbour
+    of it lies at most one layer closer.  The unvisited states are kept in
+    a list and selected with compress, so they become the keys.
     """
     dist = dict.fromkeys(starts, 0)
     seen = dist.__contains__
@@ -192,14 +194,14 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
     return dist
 
 
-def _standard_search(model: Model, start: Perm) -> dict[Perm, int]:
-    """Distances from start to every permutation of its length."""
+def _standard_search(model: Model, start: Perm) -> dict[bytes, int]:
+    """Distances by translates from start to every state of its length."""
     n = len(start)
-    return _frontier_bfs([start], _moves(model, n),
-                         space=(factorial(n), lambda: permutations(start)))
+    return _frontier_bfs([bytes(start)], _moves(model, n), space=(
+        factorial(n), lambda: map(bytes, permutations(start))))
 
 
-def _standard_table(model: Model, n: int) -> dict[Perm, int]:
+def _standard_table(model: Model, n: int) -> dict[bytes, int]:
     table = _STANDARD_TABLES.get((model, n))
     if table is None:
         table = _STANDARD_TABLES[model, n] = _standard_search(model, identity(n))
@@ -243,8 +245,8 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     p = tuple(p)
     n = len(p)
     try:
-        d = _READS.get((model, n, cache_dir), {}).get(p)
-    except TypeError:  # an unhashable entry, which check_permutation rejects
+        d = _READS.get((model, n, cache_dir), {}).get(bytes(p))
+    except (TypeError, ValueError):  # no byte string: check_permutation decides
         d = None
     if d is not None and n <= (DEFAULT_LIMIT_STANDARD if limit is None
                                else min(limit, HARD_LIMIT_STANDARD)):
@@ -255,7 +257,7 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     if directory and (model, n, directory) not in _READS:
         get_table(model, n, cache_dir=directory, limit=limit)
     table = _READS[model, n, cache_dir] = _standard_table(model, n)
-    return table[p]
+    return table[bytes(map(int, p))]  # values equal to 1..n, as True or 2.0
 
 
 def distance_peg(model: Model, pp: PegPermutation, *,
@@ -285,7 +287,7 @@ def pair_distance(model: Model, p: Perm, q: Perm) -> int:
     p, q = check_permutation(tuple(p)), check_permutation(tuple(q))
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
-    return _standard_search(model, p)[q]
+    return _standard_search(model, inverse(p))[bytes(inverse(q))]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,8 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     BFS limits.  A breakpoint of s is a pair (f_x, f_x+1) of its frame
     f = (L, s_1, ..., s_n, n+1) that differs by other than 1, with L = 0 for
     reversals and -1, adjacent to no value, for prefix reversals; brk_x marks
-    it.  The identity has none, or only the one at L; a move repairs at most
+    it.  Only the identity has none, or only the one at L (past L its frame
+    would rise by 1s, never turning back, to n + 1); a move repairs at most
     two, or one, so h = ceil(bp/2), or bp - 1, never exceeds the distance.
 
     Delta rule: reversing the block [i, j) of s reverses f_i+1..f_j, so the
@@ -376,8 +379,6 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     _check_model(model)
     p = check_permutation(tuple(p))
     n = len(p)
-    if p == identity(n):
-        return 0
     rd = model is Model.RD
 
     def dfs(f: tuple, brk: tuple, bp: int, r: int) -> bool:
@@ -420,6 +421,8 @@ def distance_bounded(model: Model, p: Perm, bound: int) -> int | None:
     # freed; one per call fills the lists (2,000 per size), megabytes
     brk = tuple([abs(a - b) != 1 for a, b in zip(f, f[1:])])
     bp = sum(brk)
+    if bp == (0 if rd else 1):  # the identity
+        return 0
     for limit in range(max((bp + 1) // 2 if rd else bp - 1, 1), bound + 1):
         if dfs(f, brk, bp, limit):
             return limit
@@ -466,18 +469,19 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
     >>> ball(Model.PRD, 0, 2) == {(1, 2)}
     True
     """
+    level = _ball_level(model, k, n, kind, limit)
+    return set(map(tuple if kind is TableKind.STANDARD else _peg_of_key, level))
+
+
+def _ball_level(model: Model, k: int, n: int, kind: TableKind = TableKind.PEG,
+                limit: int | None = None) -> dict[bytes, int]:
+    """The states of length n within distance k of the identity, or for peg
+    states, the default, of one of its 2^n decorations by + and bullet."""
     if k < 0:
         raise ValueError(f"negative radius: {k}")
+    _effective_limit(n, limit, kind)
     if kind is TableKind.STANDARD:
-        _effective_limit(n, limit, TableKind.STANDARD)
-        return set(_frontier_bfs([identity(n)], _moves(model, n), k))
-    return set(map(_peg_of_key, _peg_ball_level(model, k, n, limit)))
-
-
-def _peg_ball_level(model: Model, k: int, n: int,
-                    limit: int | None = None) -> dict[bytes, int]:
-    """The peg states of length n within distance k of one of the 2^n goals."""
-    _effective_limit(n, limit, TableKind.PEG)
+        return _frontier_bfs([bytes(identity(n))], _moves(model, n), k)
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
     return _frontier_bfs(goals, _peg_moves(model, n), k)
 
@@ -560,7 +564,7 @@ def build_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD,
     _effective_limit(n, limit, kind)
     if kind is TableKind.STANDARD:
         data = bytes(map(_standard_table(model, n).__getitem__,
-                         permutations(identity(n))))
+                         map(bytes, permutations(identity(n)))))
     else:
         data = bytes(_peg_distance(model, s) for s in _peg_keys(n))
     return DistanceTable(model, kind, n, data)
@@ -600,7 +604,7 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
     elif kind is TableKind.STANDARD and (model, n) not in _STANDARD_TABLES:
         # lexicographic order is rank order
         _STANDARD_TABLES[model, n] = dict(
-            zip(permutations(identity(n)), table.data))
+            zip(map(bytes, permutations(identity(n))), table.data))
     if kind is TableKind.STANDARD:
         _READS[model, n, directory] = _standard_table(model, n)
     return table

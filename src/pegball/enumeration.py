@@ -8,12 +8,11 @@ from __future__ import annotations
 from enum import Enum
 
 from .basis import standard_basis
-from .distance import (Model, ResourceLimitError, TableKind, _check_model,
-                       ball)
+from .distance import (Model, ResourceLimitError, TableKind, _ball_level,
+                       _check_model)
 from .generators import generating_set
 from .inflation import grid_enumerate
-from .peg import _MAX_STATE_VALUE, _peg_deletions, _peg_key, _peg_of_key
-from .perm import Perm
+from .peg import _MAX_STATE_VALUE, _peg_deletions, _peg_key
 
 __all__ = [
     "CountMethod",
@@ -59,10 +58,6 @@ def _class_level(model: Model, k: int, n: int) -> set[bytes]:
     return levels[n]
 
 
-def _class_members(model: Model, k: int, n: int) -> set[Perm]:
-    return {_peg_of_key(s).base for s in _class_level(model, k, n)}
-
-
 def _class_limit(method: CountMethod, limit: int | None) -> int:
     """The longest length GRID or AVOID counts; AVOID's levels are states."""
     eff = DEFAULT_LIMIT_CLASS if limit is None else limit
@@ -85,7 +80,7 @@ def count_ball(model: Model, k: int, n: int,
     if k < 0 or n < 0:
         raise ValueError(f"negative parameter: k={k}, n={n}")
     if method is CountMethod.BFS:
-        return len(ball(model, k, n, TableKind.STANDARD, limit=limit))
+        return len(_ball_level(model, k, n, TableKind.STANDARD, limit))
     eff = _class_limit(method, limit)
     if n > eff:
         raise ResourceLimitError(f"length {n} exceeds {method.value} limit", eff)

@@ -10,8 +10,8 @@ from itertools import product
 
 from .distance import Model, _check_model, distance_peg
 from .inflation import monotone_inflate
-from .peg import (DOT, MINUS, PLUS, PegPermutation, is_clean_compact,
-                  oriented_reversal, peg_sort_key)
+from .peg import (DOT, MINUS, PLUS, PegPermutation, _oriented, _peg_key,
+                  _peg_of_key, is_clean_compact, peg_sort_key)
 
 __all__ = [
     "GeneratingSet",
@@ -45,9 +45,10 @@ class GeneratingSet:
 def _inflated_reversal(pp: PegPermutation, v: list[int], i: int,
                        j: int) -> PegPermutation:
     """The oriented reversal at i..j of pp inflated by v, each inflated
-    entry keeping its element's decoration."""
-    decs = tuple(d for d, size in zip(pp.decorations, v) for _ in range(size))
-    return oriented_reversal(PegPermutation(monotone_inflate(pp, v), decs), i, j)
+    entry keeping its element's decoration; the inflation is a state only."""
+    decs = [d for d, size in zip(pp.decorations, v) for _ in range(size)]
+    return _peg_of_key(_oriented(i - 1, j)(_peg_key(monotone_inflate(pp, v),
+                                                    decs)))
 
 
 def rd_inflate_step(pp: PegPermutation, I: tuple[int, int]) -> PegPermutation:

@@ -25,7 +25,7 @@ from math import factorial
 from . import reference
 from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
                     peg_basis_bound, standard_basis)
-from .distance import (Model, TableKind, _bullet_ball_level, _peg_ball_level,
+from .distance import (Model, TableKind, _ball_level, _bullet_ball_level,
                        ball, distance, distance_peg, distance_peg_via_inflation,
                        lower_bound, pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
@@ -307,7 +307,7 @@ def _check_down_set() -> CheckResult:
     fails = []
     for model in Model:
         for level, k_max, n_max in ((_bullet_ball_level, 3, 6),
-                                    (_peg_ball_level, 2, 4)):
+                                    (_ball_level, 2, 4)):
             for k in range(k_max + 1):
                 balls = [level(model, k, n) for n in range(1, n_max + 1)]
                 for n in range(2, n_max + 1):

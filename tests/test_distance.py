@@ -5,7 +5,7 @@ import re
 import stat
 import sys
 import zlib
-from collections import Counter
+from collections import Counter, deque
 from math import factorial
 from types import SimpleNamespace
 
@@ -101,7 +101,8 @@ def test_distance_bounded():
 @pytest.mark.parametrize("model", list(Model))
 def test_distance_bounded_matches_tables_to_length_7(model):
     for n in range(8):
-        for p, d in _standard_table(model, n).items():
+        for s, d in _standard_table(model, n).items():
+            p = tuple(s)
             assert distance_bounded(model, p, d) == d, p
             assert d == 0 or distance_bounded(model, p, d - 1) is None, p
 
@@ -258,11 +259,35 @@ def _standard_neighbours(model, p):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_frontier_bfs_matches_per_state_bfs(model):
+    # the engine relabels values; the Bellman check moves positions
     for n in range(9):
         table = _standard_search(model, identity(n))  # turns bottom-up
-        _assert_bellman(table, itertools.permutations(identity(n)),
+        _assert_bellman({tuple(s): d for s, d in table.items()},
+                        itertools.permutations(identity(n)),
                         identity(n), lambda p: _standard_neighbours(model, p))
-        assert _frontier_bfs([identity(n)], _moves(model, n)) == table, n
+        assert _frontier_bfs([bytes(identity(n))], _moves(model, n)) == table, n
+
+
+def _positional_bfs(model, p):
+    """Distances from p by moves of positions, one state at a time."""
+    dist, queue = {p: 0}, deque([p])
+    while queue:
+        s = queue.popleft()
+        for t in _standard_neighbours(model, s):
+            if t not in dist:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return dist
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_pair_distance_matches_positional_bfs(model):
+    for n in range(6):
+        perms = list(itertools.permutations(identity(n)))
+        for p in perms:
+            want = _positional_bfs(model, p)
+            assert [pair_distance(model, p, q) for q in perms] == \
+                [want[q] for q in perms], p
 
 
 def _oriented_neighbours(model, pp):
@@ -299,7 +324,8 @@ def test_ball_is_table_down_set(model):
     for n in range(1, 8):
         table = _standard_table(model, n)
         for k in range(4):
-            assert ball(model, k, n) == {p for p, d in table.items() if d <= k}
+            assert ball(model, k, n) == {tuple(s) for s, d in table.items()
+                                         if d <= k}
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -357,7 +383,8 @@ def test_table_save_load_round_trip(tmp_path):
     assert path.read_bytes().startswith(b"PEGBALL-DIST v2 prd standard 3 ")
     u = DistanceTable.load(path)
     assert u.model is t.model and u.kind is t.kind and u.n == t.n
-    assert _read(u) == _read(t) == _standard_table(Model.PRD, 3)
+    assert _read(u) == _read(t) == {
+        tuple(s): d for s, d in _standard_table(Model.PRD, 3).items()}
 
 
 def test_table_save_honours_umask(tmp_path):
@@ -465,8 +492,8 @@ def test_distance_with_cache_dir_matches_bfs(model, tmp_path):
         # the first pass writes the file, the second reads it back
         for _ in range(2):
             clear_memory_cache()
-            assert all(distance(model, p, cache_dir=tmp_path) == d
-                       for p, d in want.items()), n
+            assert all(distance(model, tuple(s), cache_dir=tmp_path) == d
+                       for s, d in want.items()), n
         assert cache_path(tmp_path, model, TableKind.STANDARD, n).exists()
 
 
