@@ -45,7 +45,7 @@ class GeneratingSet:
 def _inflated_reversal(pp: PegPermutation, v: list[int], i: int,
                        j: int) -> PegPermutation:
     """The oriented reversal at i..j of pp inflated by v, each inflated
-    entry keeping its element's decoration; the inflation is a state only."""
+    entry keeping its element's decoration; only the result becomes a peg."""
     decs = [d for d, size in zip(pp.decorations, v) for _ in range(size)]
     return _peg_of_key(_oriented(i - 1, j)(_peg_key(monotone_inflate(pp, v),
                                                     decs)))

@@ -265,7 +265,8 @@ def test_frontier_bfs_matches_per_state_bfs(model):
         _assert_bellman({tuple(s): d for s, d in table.items()},
                         itertools.permutations(identity(n)),
                         identity(n), lambda p: _standard_neighbours(model, p))
-        assert _frontier_bfs([bytes(identity(n))], _moves(model, n)) == table, n
+        top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
+        assert top_down == table, n
 
 
 def _positional_bfs(model, p):
