@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .distance import (Model, ResourceLimitError, _ball_level,
+from .distance import (Model, ResourceLimitError, TableKind, _ball_level,
                        _bullet_ball_level, _check_model, _peg_distance,
                        distance_bounded, distance_peg)
 from .inflation import a_set_stream
@@ -221,8 +221,8 @@ def peg_basis(model: Model, k: int, *, k_limit: int | None = None) -> PegBasis:
     """
     _check_radius(model, k, k_limit, "peg basis")
     bound = peg_basis_bound(model, k)
-    found = _sweep(lambda n: _ball_level(model, k, n), bound, range(3),
-                   None if model is Model.RD else _is_clean_compact_key)
+    found = _sweep(lambda n: _ball_level(model, k, n, TableKind.PEG), bound,
+                   range(3), None if model is Model.RD else _is_clean_compact_key)
     return PegBasis(model, k, frozenset(
         _peg_of_key(c) for c in found if _is_clean_compact_key(c)), bound)
 

@@ -284,7 +284,7 @@ def distance_peg(model: Model, pp: PegPermutation, *,
 
 def pair_distance(model: Model, p: Perm, q: Perm) -> int:
     """BFS distance between two permutations of the same length."""
-    p, q = check_permutation(tuple(p)), check_permutation(tuple(q))
+    p, q = (tuple(map(int, check_permutation(tuple(x)))) for x in (p, q))
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
     return _standard_search(model, inverse(p))[bytes(inverse(q))]
@@ -473,10 +473,10 @@ def ball(model: Model, k: int, n: int, kind: TableKind = TableKind.STANDARD,
     return set(map(tuple if kind is TableKind.STANDARD else _peg_of_key, level))
 
 
-def _ball_level(model: Model, k: int, n: int, kind: TableKind = TableKind.PEG,
+def _ball_level(model: Model, k: int, n: int, kind: TableKind,
                 limit: int | None = None) -> dict[bytes, int]:
     """The states of length n within distance k of the identity, or for peg
-    states, the default, of one of its 2^n decorations by + and bullet."""
+    states, of one of its 2^n decorations by + and bullet."""
     if k < 0:
         raise ValueError(f"negative radius: {k}")
     _effective_limit(n, limit, kind)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
@@ -304,10 +304,10 @@ def _check_down_set() -> CheckResult:
     # into single deletions followed by single sign-weakenings.  The check
     # reads the states and reductions of the basis sweep: standard balls as
     # all-bullet pegs, k <= 3 and n <= 6; peg balls k <= 2, n <= 4.
-    fails = []
+    fails, peg_level = [], partial(_ball_level, kind=TableKind.PEG)
     for model in Model:
         for level, k_max, n_max in ((_bullet_ball_level, 3, 6),
-                                    (_ball_level, 2, 4)):
+                                    (peg_level, 2, 4)):
             for k in range(k_max + 1):
                 balls = [level(model, k, n) for n in range(1, n_max + 1)]
                 for n in range(2, n_max + 1):

@@ -289,6 +289,10 @@ def test_pair_distance_matches_positional_bfs(model):
             want = _positional_bfs(model, p)
             assert [pair_distance(model, p, q) for q in perms] == \
                 [want[q] for q in perms], p
+    # values check_permutation accepts: floats and True compare equal to ints
+    assert pair_distance(model, (2.0, 1.0), (1, 2)) == 1
+    assert pair_distance(model, (1, 2), [2.0, 1.0]) == 1
+    assert pair_distance(model, (True,), (1,)) == 0
 
 
 def _oriented_neighbours(model, pp):

@@ -1,7 +1,7 @@
 import pytest
 
 from pegball import enumeration, inflation, reference
-from pegball.distance import Model, ResourceLimitError, _bullet_ball_level
+from pegball.distance import Model, ResourceLimitError, ball
 from pegball.enumeration import (CountMethod, _class_level, count_ball,
                                  sequence)
 from pegball.peg import _MAX_STATE_VALUE
@@ -42,8 +42,8 @@ def test_methods_agree(model, k):
                                      (Model.PRD, 3)])
 def test_avoid_levels_are_bfs_balls(model, k):
     for n in range(9):
-        assert _class_level(model, k, n) == \
-            set(_bullet_ball_level(model, k, n)), n
+        assert {tuple(b // 3 for b in s)
+                for s in _class_level(model, k, n)} == ball(model, k, n), n
 
 
 def test_prd_k2_quadratic_law():
