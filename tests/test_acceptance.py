@@ -24,7 +24,6 @@ from pegball.generators import prd_generating_set, rd_generating_set
 from pegball.inflation import a_set_stream
 from pegball.peg import format_peg, parse_peg
 from pegball.perm import parse_perm
-from pegball.verify import property_suite
 
 
 def _report(n: int, ok: bool, detail: str) -> str:
@@ -157,8 +156,8 @@ def test_criterion_8():
     assert ok, line
 
 
-def test_criterion_9():
-    results = property_suite(seed=0)
+def test_criterion_9(property_results):
+    results = property_results
     for r in results:
         print(f"ACCEPTANCE 9 [{r.name}]: {'PASS' if r.passed else 'FAIL'}"
               f" — {r.detail}")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -16,7 +17,8 @@ from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
                            standard_basis_bound)
 from pegball.distance import (_PEG_DISTANCES, _READS, _STANDARD_TABLES,
                               DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs, _moves, _peg_distance,
+                              TableKind, _frontier_bfs, _mirror, _moves,
+                              _peg_distance,
                               _standard_search, _standard_table, ball,
                               breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
@@ -328,9 +330,75 @@ def test_peg_components_satisfy_bellman(model):
 def test_ball_is_table_down_set(model):
     for n in range(1, 8):
         table = _standard_table(model, n)
-        for k in range(4):
+        for k in range(max(table.values()) + 1):
             assert ball(model, k, n) == {tuple(s) for s, d in table.items()
                                          if d <= k}
+
+
+# sha256 of build_table(model, n).data for n = 0..8, as recorded before the
+# searches were folded by the reversal mirror
+TABLE_SHA256 = {
+    "rd": (
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "535308a31c85f387e8057951f6fe4294204d72c95311bd5bfb6d9d2d8c4d68f8",
+        "0ffb3cd50dafecc2548a5c673cdc682f29248f379f31d20765df2b67fcbd1e25",
+        "087e5e3d879b66cfd6c23f77b073ce9b3b2338c2ba913500912c2b0f5b436fd9",
+        "847ecf71795ee66b50ba6e6a7bc5bc1a43827529ef028228d6c6e491f27a53d5",
+        "2fe7ff60bcadff613655ad52904718c53e64aba8078718bfebc31a10debc99b9",
+        "4b52a0639cd9c1f3c3305ccea45ffa76544e7f6f727a00afaec68af9584b188a",
+    ),
+    "prd": (
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "f58eebac8e2cf8d5b72b953ae30fd33108835205ae64025e482c95846d99a390",
+        "2387b3a30a86b09be150e560667acf6ee8c6997a6fbcf2c721e65c33a9ff8cb2",
+        "f36e2b2ae1ae0a37ce3df8f01413638f85f588054f310a29d137ac85bcdccd6c",
+        "e84d236658bbae696f153cd1ed7e3e7ba8acdf1281cd730733c88a6b87ebc762",
+        "57b6c45ab88d1e9692fb8094184cb8c463025ed3ae9a3e175361edb0be696aed",
+        "ec30fa2a001183c6557a908732d90eb2e70c3146a6ee5f92a7a27881aaedc3ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_table_digests(model):
+    for n, want in enumerate(TABLE_SHA256[model.value]):
+        assert hashlib.sha256(build_table(model, n).data).hexdigest() == want, n
+
+
+def test_reversal_mirror_maps_the_moves_onto_the_moves():
+    for n in range(8):
+        states = list(map(bytes, itertools.permutations(identity(n))))
+        mirror = _mirror(Model.RD, n)
+        # m(s) = w0 s w0: position i holds n+1 minus the entry at n+1-i
+        assert list(mirror(states)) == [bytes(n + 1 - v for v in reversed(s))
+                                        for s in states]
+        assert list(mirror([bytes(identity(n))])) == [bytes(identity(n))]
+        moves = _moves(Model.RD, n)
+        images = {tuple(move(states)) for move in moves}
+        conjugates = {tuple(mirror(move(list(mirror(states)))))
+                      for move in moves}
+        assert len(images) == len(moves) and conjugates == images, n
+
+
+def test_prefix_reversals_get_no_mirror():
+    assert all(_mirror(Model.PRD, n) is None for n in range(12))
+    # conjugating a prefix reversal by w0 gives a suffix reversal, a move
+    # only when it reverses everything
+    for n in range(3, 8):
+        states = list(map(bytes, itertools.permutations(identity(n))))
+        mirror = _mirror(Model.RD, n)
+        moves = _moves(Model.PRD, n)
+        images = {tuple(move(states)) for move in moves}
+        conjugates = {tuple(mirror(move(list(mirror(states)))))
+                      for move in moves}
+        assert len(images) == len(moves) and len(conjugates & images) == 1, n
+    # and the mirror pair 132, 213 lies at different distances
+    assert distance(Model.PRD, (1, 3, 2)) == 3
+    assert distance(Model.PRD, (2, 1, 3)) == 1
 
 
 @pytest.mark.parametrize("model", list(Model))

@@ -20,8 +20,8 @@ def test_paper_suite_all_pass():
     assert failures == []
 
 
-def test_property_suite_known_failure(monkeypatch):
-    results = property_suite(seed=0)
+def test_property_suite_known_failure(property_results, monkeypatch):
+    results = property_results
     assert [r.name for r in results] == PROPERTY_NAMES
     assert [r.name for r in results if not r.passed] == []
     # only the two all-bullet pegs on the simple permutations of length 4
