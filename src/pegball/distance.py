@@ -181,7 +181,7 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
     is also a move.  space, for a caller that can list the whole state space,
     is (size, lister); once the frontier outgrows half the unvisited states,
     the search turns bottom-up (Beamer, Asanovic & Patterson 2012): an
-    unvisited state joins the layer if a move maps it onto the frontier,
+    unvisited state joins the layer if a move maps it onto a seen state,
     exactly, as a neighbour of it lies at most one layer closer.  The
     unvisited states are kept in a list and selected with compress, so they
     become the keys.  mirror maps a list of states by an involution m that

@@ -267,6 +267,7 @@ def test_frontier_bfs_matches_per_state_bfs(model):
         _assert_bellman({tuple(s): d for s, d in table.items()},
                         itertools.permutations(identity(n)),
                         identity(n), lambda p: _standard_neighbours(model, p))
+        # unfolded: the table search takes the mirror for reversals
         top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
         assert top_down == table, n
 
