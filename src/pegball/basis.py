@@ -20,17 +20,18 @@ building any.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .distance import (Model, ResourceLimitError, TableKind, _ball_level,
-                       _bullet_ball_level, _check_model, _peg_distance,
+                       _check_model, _peg_distance, _standard_search,
                        distance_bounded, distance_peg)
 from .inflation import a_set_stream
-from .peg import (_MAX_STATE_VALUE, ExceptionalKind, PegPermutation,
-                  _is_clean_compact_key, _pattern_keys, _peg_deletions,
-                  _peg_of_key, _peg_weakenings, exceptional, is_clean_compact,
-                  peg_of, peg_sort_key)
-from .perm import Perm, minimal_elements
+from .peg import (_FROM_BULLETS, _MAX_STATE_VALUE, _TO_BULLETS, ExceptionalKind,
+                  PegPermutation, _is_clean_compact_key, _pattern_keys,
+                  _peg_deletions, _peg_of_key, _peg_weakenings, exceptional,
+                  is_clean_compact, peg_of, peg_sort_key)
+from .perm import Perm, identity, minimal_elements
 
 __all__ = [
     "PegBasis",
@@ -253,9 +254,7 @@ def exceptional_check(k: int) -> list[ExceptionalReport]:
     [True, True]
     """
     n = k + 2
-    kinds = ((ExceptionalKind.THETA_EVEN, ExceptionalKind.LAMBDA_EVEN)
-             if n % 2 == 0 else
-             (ExceptionalKind.THETA_ODD, ExceptionalKind.LAMBDA_ODD))
+    kinds = [kind for kind in ExceptionalKind if kind.even == (n % 2 == 0)]
     out = []
     for kind in kinds:
         pp = exceptional(kind, n)
@@ -370,6 +369,7 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
 
     A permutation enters the sweep as the all-bullet peg on it, so the ball
     is B_k, the new maximum is a bullet and every state found is a member.
+    Its levels are the table search cut at radius k, encoded as they are read.
     The sweep stops at standard_basis_bound; length_cap can only shorten it.
 
     >>> sorted(standard_basis(Model.RD, 1), key=lambda p: (len(p), p))
@@ -379,5 +379,6 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     sweep_to = standard_basis_bound(model, k)
     if length_cap is not None:
         sweep_to = min(length_cap, sweep_to)
-    found = _sweep(lambda n: _bullet_ball_level(model, k, n), sweep_to, (2,))
-    return {tuple(b // 3 for b in c) for c in found}
+    found = _sweep(lambda n: map(bytes.translate, _standard_search(
+        model, identity(n), k), repeat(_TO_BULLETS)), sweep_to, (2,))
+    return {tuple(c.translate(_FROM_BULLETS)) for c in found}

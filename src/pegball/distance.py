@@ -309,10 +309,11 @@ def distance_peg(model: Model, pp: PegPermutation, *,
 
 
 def pair_distance(model: Model, p: Perm, q: Perm) -> int:
-    """BFS distance between two permutations of the same length."""
+    """BFS distance between two permutations of one length, at most 9."""
     p, q = (tuple(map(int, check_permutation(tuple(x)))) for x in (p, q))
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
+    _effective_limit(len(p), None, TableKind.STANDARD)
     return _standard_search(model, inverse(p))[bytes(inverse(q))]
 
 
@@ -510,13 +511,6 @@ def _ball_level(model: Model, k: int, n: int, kind: TableKind,
         return _standard_search(model, identity(n), k)
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
     return _frontier_bfs(goals, _peg_moves(model, n), k)
-
-
-def _bullet_ball_level(model: Model, k: int, n: int) -> dict[bytes, int]:
-    """B_k(n) as all-bullet peg states (n <= peg._MAX_STATE_VALUE): the peg ball
-    of the all-bullet identity, as oriented moves never flip a bullet."""
-    return _frontier_bfs([bytes(range(5, 3 * n + 3, 3))],
-                         _peg_moves(model, n), k)
 
 
 @dataclass(frozen=True)

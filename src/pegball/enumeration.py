@@ -12,7 +12,7 @@ from .distance import (Model, ResourceLimitError, TableKind, _ball_level,
                        _check_model)
 from .generators import generating_set
 from .inflation import grid_enumerate
-from .peg import _MAX_STATE_VALUE, _peg_deletions, _peg_key
+from .peg import _MAX_STATE_VALUE, _TO_BULLETS, _peg_deletions
 
 __all__ = [
     "CountMethod",
@@ -47,10 +47,11 @@ def _class_level(model: Model, k: int, n: int) -> set[bytes]:
     """
     basis, levels = _CLASS_CACHE.get((model, k), (None, [{b""}]))
     if basis is None and len(levels) <= n:
-        basis = frozenset(_peg_key(b, "." * len(b)) for b in standard_basis(model, k))
+        basis = frozenset(bytes(b).translate(_TO_BULLETS)
+                          for b in standard_basis(model, k))
     while len(levels) <= n:
         m = len(levels)
-        below, top = levels[m - 1], bytes((3 * m + 2,))
+        below, top = levels[m - 1], bytes((m,)).translate(_TO_BULLETS)
         levels.append({q for p in below for pos in range(m)
                        for q in (p[:pos] + top + p[pos:],)
                        if q not in basis and below.issuperset(_peg_deletions(q))})

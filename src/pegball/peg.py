@@ -141,14 +141,18 @@ def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
 
 
 # Peg states: the codes are the positions in _CODES.  Outside this module,
-# only distance's searches, basis._sweep and verify's checks read states.
+# only distance, basis._sweep, enumeration._class_level and verify read them.
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 # the largest value a state byte holds with every code: 3 * 84 + 2 = 254
 _MAX_STATE_VALUE = 84
 _ENCODE = bytes.maketrans("".join(_CODES).encode(), bytes(range(3)))
 _KEY_BYTES = range(3, 3 * _MAX_STATE_VALUE + 3)
-_TRIPLE = bytes.maketrans(bytes(range(_MAX_STATE_VALUE + 1)),
-                          bytes(range(0, 3 * _MAX_STATE_VALUE + 3, 3)))
+_VALUES = bytes(range(_MAX_STATE_VALUE + 1))
+_TRIPLE = bytes.maketrans(_VALUES, bytes(range(0, 3 * _MAX_STATE_VALUE + 3, 3)))
+# a standard state (its values) to its all-bullet peg state, v to 3v + 2, and
+# back; other modules convert between the two only through these tables
+_TO_BULLETS = bytes.maketrans(_VALUES, bytes(range(2, 3 * _MAX_STATE_VALUE + 3, 3)))
+_FROM_BULLETS = bytes.maketrans(_TO_BULLETS[:len(_VALUES)], _VALUES)
 _FLIP_BYTES = bytes.maketrans(
     bytes(_KEY_BYTES),
     bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
@@ -405,12 +409,9 @@ def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:
     >>> str(exceptional(ExceptionalKind.LAMBDA_ODD, 5))
     '3- 4. 2. 5. 1.'
     """
-    if kind.even:
-        if n % 2 or n < 2:
-            raise ValueError(f"{kind.name} requires even n >= 2, got {n}")
-    else:
-        if n % 2 == 0 or n < 3:
-            raise ValueError(f"{kind.name} requires odd n >= 3, got {n}")
+    parity, least = ("even", 2) if kind.even else ("odd", 3)
+    if n % 2 != least % 2 or n < least:
+        raise ValueError(f"{kind.name} requires {parity} n >= {least}, got {n}")
     t = exceptional_t(kind, n)
     if kind is ExceptionalKind.THETA_EVEN:
         base = list(range(n, 0, -2)) + [1] + list(range(3, n, 2))

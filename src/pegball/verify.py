@@ -19,20 +19,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, repeat
 from math import factorial
 
 from . import reference
 from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
                     peg_basis_bound, standard_basis)
-from .distance import (Model, TableKind, _ball_level, _bullet_ball_level,
-                       ball, distance, distance_peg, distance_peg_via_inflation,
-                       lower_bound, pair_distance)
+from .distance import (Model, TableKind, _ball_level, ball, distance,
+                       distance_peg, distance_peg_via_inflation, lower_bound,
+                       pair_distance)
 from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
 from .inflation import (_inflations, _plan, grid_enumerate, grid_member,
                         legal_vectors)
-from .peg import (Decoration, ExceptionalKind, PegPermutation,
+from .peg import (_TO_BULLETS, Decoration, ExceptionalKind, PegPermutation,
                   _is_clean_compact_key, _peg_deletions, _peg_keys,
                   _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
                   enumerate_clean_compact, exceptional, format_peg,
@@ -305,8 +305,10 @@ def _check_down_set() -> CheckResult:
     # reads the states and reductions of the basis sweep: standard balls as
     # all-bullet pegs, k <= 3 and n <= 6; peg balls k <= 2, n <= 4.
     fails, peg_level = [], partial(_ball_level, kind=TableKind.PEG)
+    bullet_level = lambda model, k, n: set(map(bytes.translate, _ball_level(
+        model, k, n, TableKind.STANDARD), repeat(_TO_BULLETS)))
     for model in Model:
-        for level, k_max, n_max in ((_bullet_ball_level, 3, 6),
+        for level, k_max, n_max in ((bullet_level, 3, 6),
                                     (peg_level, 2, 4)):
             for k in range(k_max + 1):
                 balls = [level(model, k, n) for n in range(1, n_max + 1)]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 from collections import Counter
@@ -10,14 +11,15 @@ from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
                            is_peg_basis_member, m_set, peg_basis,
                            peg_basis_bound, standard_basis,
                            standard_basis_bound)
-from pegball.distance import (Model, ResourceLimitError, _bullet_ball_level,
-                              ball, distance, distance_peg)
-from pegball.peg import (ExceptionalKind, PegPermutation,
-                         clean_compact_proper_patterns,
+from pegball.distance import (Model, ResourceLimitError, ball, distance,
+                              distance_peg)
+from pegball.peg import (_FROM_BULLETS, _TO_BULLETS, ExceptionalKind,
+                         PegPermutation, _peg_key, clean_compact_proper_patterns,
                          enumerate_clean_compact, format_peg,
                          is_clean_compact, is_compact, parse_peg,
                          perm_strips, proper_patterns)
-from pegball.perm import avoids_all, contains_pattern, inverse, parse_perm
+from pegball.perm import (avoids_all, contains_pattern, format_perm, inverse,
+                          parse_perm)
 
 
 def test_peg_bases_frozen():
@@ -233,10 +235,23 @@ def test_standard_basis_strip_inequality():
                 assert (s - 1) + (m - 2) <= c * k, (model, k, p)
 
 
+# sha256 of the sorted member texts (format_perm, joined by newlines), as
+# recorded before the sweep read its ball from the standard table search
+STANDARD_BASIS_SHA256 = {
+    3: "8e0b3cde4a9afe91ef8665da22985d19735f66b0ad572e50d86bb0fa18748bfd",
+    4: "82ad4cab600e2cd9c55ef0637594551424b5bb53a3222d14b609e5a7d320f565",
+}
+
+
 def test_prd_k4_standard_basis():
-    got = standard_basis(Model.PRD, 4)
-    assert len(got) == 121
-    assert Counter(map(len, got)) == {5: 20, 6: 95, 7: 6}
+    # and k = 3, both unfrozen in reference
+    for k, size, lengths in ((3, 28, {4: 3, 5: 25}),
+                             (4, 121, {5: 20, 6: 95, 7: 6})):
+        got = standard_basis(Model.PRD, k)
+        assert len(got) == size
+        assert Counter(map(len, got)) == lengths
+        texts = "\n".join(sorted(map(format_perm, got))).encode()
+        assert hashlib.sha256(texts).hexdigest() == STANDARD_BASIS_SHA256[k]
 
 
 def test_standard_basis_length_cap_and_k_limit():
@@ -249,15 +264,13 @@ def test_standard_basis_length_cap_and_k_limit():
         standard_basis(Model.PRD, 2, k_limit=1)
 
 
-@pytest.mark.parametrize("model", list(Model))
-def test_bullet_ball_level_is_standard_ball(model):
-    # the sweep sees B_k(n) as all-bullet peg states
-    for k in range(4):
-        for n in range(7):
-            level = _bullet_ball_level(model, k, n)
-            assert {tuple(b // 3 for b in s) for s in level} == \
-                ball(model, k, n), (k, n)
-            assert all(b % 3 == 2 for s in level for b in s)
+def test_bullet_tables_encode_the_all_bullet_peg():
+    # the sweep sees a permutation as the all-bullet peg state on it
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            key = bytes(p).translate(_TO_BULLETS)
+            assert key == _peg_key(p, "." * n)
+            assert key.translate(_FROM_BULLETS) == bytes(p)
 
 
 def test_sweep_past_state_encoding_fails_first(monkeypatch):

@@ -74,6 +74,17 @@ def test_pair_distance():
         pair_distance(Model.RD, (1, 2, 3), (1, 2, 4))
 
 
+def test_pair_distance_length_limit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no BFS may run past the length limit")
+
+    monkeypatch.setattr(sys.modules[distance.__module__], "_frontier_bfs",
+                        refuse)
+    p = identity(12)
+    with pytest.raises(ResourceLimitError, match=r"\(limit 9\)"):
+        pair_distance(Model.RD, p, p[::-1])
+
+
 def test_breakpoints():
     assert breakpoints(parse_peg("2- 3+ 1. 4+")) == 3
     assert breakpoints(parse_peg("1+ 2+ 3+")) == 0

@@ -4,7 +4,7 @@ from pegball import enumeration, inflation, reference
 from pegball.distance import Model, ResourceLimitError, ball
 from pegball.enumeration import (CountMethod, _class_level, count_ball,
                                  sequence)
-from pegball.peg import _MAX_STATE_VALUE
+from pegball.peg import _FROM_BULLETS, _MAX_STATE_VALUE
 
 
 def test_frozen_sequences():
@@ -42,7 +42,7 @@ def test_methods_agree(model, k):
                                      (Model.PRD, 3)])
 def test_avoid_levels_are_bfs_balls(model, k):
     for n in range(9):
-        assert {tuple(b // 3 for b in s)
+        assert {tuple(s.translate(_FROM_BULLETS))
                 for s in _class_level(model, k, n)} == ball(model, k, n), n
 
 
