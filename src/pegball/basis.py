@@ -379,6 +379,12 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
     sweep_to = standard_basis_bound(model, k)
     if length_cap is not None:
         sweep_to = min(length_cap, sweep_to)
-    found = _sweep(lambda n: map(bytes.translate, _standard_search(
-        model, identity(n), k), repeat(_TO_BULLETS)), sweep_to, (2,))
+    found = _sweep(lambda n: _bullet_ball_level(model, k, n), sweep_to, (2,))
     return {tuple(c.translate(_FROM_BULLETS)) for c in found}
+
+
+def _bullet_ball_level(model: Model, k: int, n: int) -> Iterable[bytes]:
+    """B_k(n) as all-bullet peg states: the table search cut at radius k,
+    encoded lazily as the states are read."""
+    return map(bytes.translate, _standard_search(model, identity(n), k),
+               repeat(_TO_BULLETS))

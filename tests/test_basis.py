@@ -7,7 +7,8 @@ import pytest
 
 from pegball import basis as basis_module
 from pegball import reference
-from pegball.basis import (DEFAULT_K_LIMIT, exceptional_check,
+from pegball.basis import (DEFAULT_K_LIMIT, _bullet_ball_level,
+                           exceptional_check,
                            is_peg_basis_member, m_set, peg_basis,
                            peg_basis_bound, standard_basis,
                            standard_basis_bound)
@@ -262,6 +263,18 @@ def test_standard_basis_length_cap_and_k_limit():
         standard_basis(Model.RD, 4)
     with pytest.raises(ResourceLimitError):
         standard_basis(Model.PRD, 2, k_limit=1)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_bullet_ball_level_is_standard_ball(model):
+    # the sweep sees B_k(n) as all-bullet peg states
+    for k in range(4):
+        for n in range(7):
+            level = list(_bullet_ball_level(model, k, n))
+            assert len(level) == len(set(level)), (k, n)
+            assert {tuple(b // 3 for b in s) for s in level} == \
+                ball(model, k, n), (k, n)
+            assert all(b % 3 == 2 for s in level for b in s)
 
 
 def test_bullet_tables_encode_the_all_bullet_peg():
