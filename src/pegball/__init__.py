@@ -22,6 +22,13 @@ from .basis import (PegBasis, MSet, peg_basis, is_peg_basis_member,
                     exceptional_check, m_set, standard_basis)
 from .enumeration import CountMethod, count_ball, sequence
 from .peg import proper_patterns
-from .verify import CheckResult, paper_suite, property_suite, run_suites
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The self-check names, imported with verify (and reference) on first use."""
+    if name in ("CheckResult", "paper_suite", "property_suite", "run_suites"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,6 @@ from .generators import generating_set
 from .inflation import grid_member
 from .peg import PegPermutation, format_peg, parse_peg, peg_of
 from .perm import ParseError, Perm, format_perm, parse_perm, pattern_of
-from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,6 +225,8 @@ def _cmd_grid_member(args) -> tuple[object, list[str], int]:
 
 
 def _cmd_verify(args) -> tuple[object, list[str], int]:
+    from .verify import run_suites  # imported here to keep other commands' start short
+
     results = run_suites(args.suite, seed=args.seed)
     passed = sum(r.passed for r in results)
     lines = [r.line() for r in results]

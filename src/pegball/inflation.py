@@ -13,9 +13,9 @@ from functools import cache
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .peg import (DOT, MINUS, Decoration, PegPermutation, _closure, _linked,
-                  is_clean_compact)
-from .perm import Perm, _deletions
+from .peg import (_CODES, DOT, MINUS, Decoration, PegPermutation, _closure,
+                  _linked, _str_deletions, _str_key, is_clean_compact)
+from .perm import Perm
 
 __all__ = [
     "InflationVector",
@@ -229,20 +229,32 @@ def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
     """All length-n members of the union of the pegs' grid classes.
 
     Each distinct sub-peg (reached by one-point deletions, which rescale the
-    base and keep the other decorations) is inflated once, by the strictly
-    positive legal vectors: 1 on bullets, at least 1 on signs.  That is the
-    union of pp[v] over the pegs pp and their legal vectors v of total n:
-    with S the support of v and sigma the pattern of pp on S, a zero block
-    adds no values and the other blocks keep their relative value order, so
-    pp[v] = sigma[v restricted to S]; conversely a positive vector of a
-    sub-peg, padded with zeros on the deleted entries, is legal for pp.
+    base and keep the other decorations) is inflated once, by the legal
+    vectors v >= its floor (_sub_pegs), which is 1 on bullets and 1 or 2 on
+    signs.  With floors of 1 this is the union of pp[v] over the pegs pp and
+    their legal vectors v of total n: with S the support of v and sigma the
+    pattern of pp on S, a zero block adds no values and the other blocks
+    keep their relative value order, so pp[v] = sigma[v restricted to S];
+    conversely a positive vector of a sub-peg, padded with zeros on the
+    deleted entries, is legal for pp.
 
-    A sub-peg with adjacent entries in one strip (peg._linked), one of them
-    signed, is skipped.  Their blocks sit side by side with consecutive
-    values, both running the strip's way, so they form one run, which the
-    signed entry alone inflates to: each inflation of the sub-peg is one of
-    its deletion of the other entry, and by induction on length one of a
-    sub-peg that is not skipped.
+    The skipped sub-pegs and the floors of 2 lose none of it: sigma[v] is
+    emitted for every sub-peg sigma and every positive legal vector v, by
+    induction on (length of sigma, number of - entries i with v[i] = 1) in
+    lexicographic order.
+    - sigma is skipped: it has adjacent entries in one strip (peg._linked),
+      one of them signed.  Their blocks sit side by side with consecutive
+      values, both running the strip's way, so they form one run, which the
+      signed entry alone inflates to: sigma[v] is an inflation of sigma's
+      deletion of the other entry, a shorter sub-peg.
+    - Otherwise, if v >= sigma's floor, sigma[v] is emitted.
+    - Otherwise some signed entry i has v[i] = 1 and floor 2.  In case (a)
+      of _sub_pegs, i is - and tau, sigma with + at i, is a sub-peg; a block
+      of one value runs both ways, so sigma[v] = tau[v], which has the same
+      length and one - entry fewer inflated by 1.  In case (b), i read as a
+      bullet is linked to an adjacent signed entry j; its one value extends
+      j's run, so sigma[v] is the inflation of sigma's deletion of i, a
+      shorter sub-peg, with j one longer.
 
     >>> sorted(grid_enumerate({PegPermutation((1, 2, 3), "+-+")}, 3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
@@ -250,24 +262,56 @@ def grid_enumerate(pegs: Iterable[PegPermutation], n: int) -> set[Perm]:
     {(1, 2, 3, 4)}
     """
     out: set[Perm] = set()
-    for plan in _sub_pegs(frozenset(pegs)):
-        m = len(plan[0])
-        if m <= n:
-            out.update(_inflations(plan, [1] * m, n))
+    for plan, floor in _sub_pegs(frozenset(pegs)):
+        if sum(floor) <= n:
+            out.update(_inflations(plan, floor, n))
     return out
 
 
 @cache
 def _sub_pegs(pegs: frozenset[PegPermutation]) -> tuple[tuple, ...]:
-    """The plans of the sub-pegs grid_enumerate keeps, memoized per set; the
-    closure runs on (base, decorations) tuples, which hold any length."""
-    closed = _closure({(pp.base, "".join(pp.decorations)) for pp in pegs},
-                      lambda peg: ((r, peg[1][:i] + peg[1][i + 1:])
-                                   for i, r in enumerate(_deletions(peg[0]))))
-    return tuple(_plan(base, decs) for base, decs in closed
-                 if not any(_linked(base[i], decs[i], base[i + 1], decs[i + 1])
-                            and decs[i:i + 2] != ".."
-                            for i in range(len(base) - 1)))
+    """The plans and floors of the sub-pegs grid_enumerate keeps, memoized
+    per set.  The closure runs on peg states held as str (peg._str_key),
+    which hold pegs of any length.
+
+    A sub-peg with a signed entry linked to a neighbour is skipped.  The
+    floor is 1 on each entry but a signed one of floor 2, which is (a) a -
+    entry whose + twin (the same sub-peg with + there) is a sub-peg, or (b)
+    an entry that, read as a bullet, is linked to an adjacent signed entry.
+    At size 1 such an entry inflates as its twin does (a), or as the
+    sub-peg without it, with the neighbour one longer (b); grid_enumerate
+    proves that no inflation is lost.
+    """
+    closed = _closure({_str_key(pp.base, pp.decorations) for pp in pegs},
+                      _str_deletions)
+    kept = []
+    for s in closed:
+        pairs = [*map(_adjacent, s, s[1:])]
+        if any(skip for skip, _, _ in pairs):
+            continue
+        floor = [1] * len(s)
+        for i, (_, left, right) in enumerate(pairs):
+            if left:
+                floor[i] = 2
+            if right:
+                floor[i + 1] = 2
+        decs = [_CODES[ord(c) % 3] for c in s]
+        for i, d in enumerate(decs):  # a - code less 1 is the + code
+            if d is MINUS and s[:i] + chr(ord(s[i]) - 1) + s[i + 1:] in closed:
+                floor[i] = 2
+        kept.append((_plan([ord(c) // 3 for c in s], decs), floor))
+    return tuple(kept)
+
+
+@cache
+def _adjacent(x: str, y: str) -> tuple[bool, bool, bool]:
+    """For adjacent entries x, y of a str state: whether they are linked
+    with one of them signed (skip), and, both signed, whether x (then y)
+    read as a bullet is linked to the other (floor 2 on it)."""
+    v, d, w, e = ord(x) // 3, _CODES[ord(x) % 3], ord(y) // 3, _CODES[ord(y) % 3]
+    signed = d is not DOT is not e
+    return (_linked(v, d, w, e) and (d, e) != (DOT, DOT),
+            signed and _linked(v, DOT, w, e), signed and _linked(v, d, w, DOT))
 
 
 def a_set_stream(beta: PegPermutation, max_total_length: int) -> Iterator[Perm]:

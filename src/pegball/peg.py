@@ -141,7 +141,8 @@ def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
 
 
 # Peg states: the codes are the positions in _CODES.  Outside this module,
-# only distance, basis._sweep, enumeration._class_level and verify read them.
+# only distance, basis._sweep, enumeration._class_level and verify read them,
+# and inflation._sub_pegs their str form.
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 # the largest value a state byte holds with every code: 3 * 84 + 2 = 254
 _MAX_STATE_VALUE = 84
@@ -192,6 +193,24 @@ def _peg_deletions(key: bytes) -> Iterator[bytes]:
     """The one-point deletions of a peg state."""
     for i, b in enumerate(key):
         yield (key[:i] + key[i + 1:]).translate(_drop(b // 3))
+
+
+def _str_key(base: Perm, decorations: Sequence[str]) -> str:
+    """The peg state as a str, one character per entry, which holds any
+    length (inflation._sub_pegs closes pegs of any length)."""
+    return "".join(chr(3 * v + _CODES.index(d)) for v, d in zip(base, decorations))
+
+
+@cache
+def _str_drop(v: int, m: int) -> str:
+    """_drop(v) for the str states of length m."""
+    return "".join(chr(c - 3 * (c // 3 > v)) for c in range(3 * m + 3))
+
+
+def _str_deletions(key: str) -> Iterator[str]:
+    """The one-point deletions of a str state."""
+    for i, c in enumerate(key):
+        yield (key[:i] + key[i + 1:]).translate(_str_drop(ord(c) // 3, len(key)))
 
 
 def _peg_weakenings(key: bytes) -> Iterator[bytes]:

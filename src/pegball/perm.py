@@ -7,7 +7,7 @@ tuples; nothing here mutates its arguments.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Perm",
@@ -121,16 +121,6 @@ def pattern_of(p: Perm, positions: Iterable[int]) -> Perm:
     values = [p[i] for i in positions]
     ranks = sorted(values)
     return tuple(ranks.index(v) + 1 for v in values)
-
-
-def _deletions(p: Perm) -> Iterator[Perm]:
-    """The one-point deletions of p, rescaled, one per position.
-
-    >>> list(_deletions((2, 3, 1)))
-    [(2, 1), (2, 1), (1, 2)]
-    """
-    return (tuple(x - (x > v) for x in p[:i] + p[i + 1:])
-            for i, v in enumerate(p))
 
 
 def contains_pattern(sigma: Perm, tau: Perm) -> bool:

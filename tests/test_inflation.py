@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pegball import inflation
 from pegball.distance import Model
 from pegball.generators import generating_set
 from pegball.inflation import (_compositions, _sub_pegs, a_set_stream,
@@ -159,8 +162,73 @@ def test_grid_enumerate_skips_linked_sub_pegs():
     assert grid_enumerate({parse_peg("2. 1-")}, 4) == {(4, 3, 2, 1)}
 
 
+def test_sub_peg_floors():
+    def floors(text):
+        subs = _sub_pegs(frozenset({parse_peg(text)}))
+        return sorted((len(plan[0]), floor) for plan, floor in subs)
+
+    # 1- has its twin 1+ (a); the - of 1+ 2- and the + of 2- 1+, read as
+    # bullets, extend their neighbour's run (b)
+    assert floors("1+ 2-") == floors("2- 1+") == [
+        (0, []), (1, [1]), (1, [2]), (2, [1, 2])]
+    # (a) for 1-, and (b) for the 1- of 1- 2+; the bullet keeps 1
+    assert floors("1- 3. 2+") == [
+        (0, []), (1, [1]), (1, [1]), (1, [2]),
+        (2, [1, 1]), (2, [1, 1]), (2, [2, 1]), (3, [1, 1, 1])]
+
+
 def _grid_union_oracle(pegs, n):
     return {monotone_inflate(pp, v) for pp in pegs for v in legal_vectors(pp, n)}
+
+
+@st.composite
+def _run_pegs(draw):
+    """Pegs of length <= 6 whose bases are runs of consecutive values, so
+    that adjacent entries are often linked, with a - / + twin beside some."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=6))
+    while sum(sizes) > 6:
+        sizes.pop()
+    rank = draw(st.permutations(range(len(sizes))))
+    starts = [sum(sizes[j] for j in range(len(sizes)) if rank[j] < rank[i])
+              for i in range(len(sizes))]
+    base = []
+    for start, size in zip(starts, sizes):
+        run = range(start + 1, start + size + 1)
+        base.extend(run if draw(st.booleans()) else reversed(run))
+    decs = draw(st.lists(st.sampled_from("+-."), min_size=len(base),
+                         max_size=len(base)))
+    pegs = {PegPermutation(tuple(base), decs)}
+    minus = [i for i, d in enumerate(decs) if d == "-"]
+    if minus and draw(st.booleans()):
+        i = draw(st.sampled_from(minus))
+        pegs.add(PegPermutation(tuple(base), decs[:i] + ["+"] + decs[i + 1:]))
+    return pegs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_pegs(), st.integers(0, 7))
+def test_grid_enumerate_matches_legal_vector_union_on_random_pegs(pegs, n):
+    assert grid_enumerate(pegs, n) == _grid_union_oracle(pegs, n)
+
+
+@pytest.mark.parametrize("model,k,n_max,made", [
+    (Model.RD, 3, 6, 1141), (Model.PRD, 4, 8, 2791)])
+def test_grid_enumerate_inflation_count(monkeypatch, model, k, n_max, made):
+    # the floors leave about one inflation per permutation; with floors of 1
+    # the same sub-pegs make 3,562 and 6,134
+    gens = generating_set(model, k).members  # built before counting
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        for p in inflate(*args):
+            count += 1
+            yield p
+
+    inflate = inflation._inflations
+    monkeypatch.setattr(inflation, "_inflations", counted)
+    total = sum(len(grid_enumerate(gens, n)) for n in range(1, n_max + 1))
+    assert (count, total) == (made, {3: 685, 4: 2658}[k])
 
 
 @pytest.mark.parametrize("model,k,n_max", [

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from pegball import reference, verify
@@ -10,6 +13,20 @@ PAPER_NAMES = ["distances", "peg-distances", "generating-sets", "peg-bases",
 PROPERTY_NAMES = ["left-invariance", "down-set", "peg-dominates",
                   "lower-bounds", "grid-member", "plusone-cover",
                   "maximal-generating", "reduced-pattern", "via-inflation"]
+
+
+def test_package_imports_verify_on_first_use():
+    # a fresh interpreter, so that no earlier import has loaded verify
+    code = """
+import sys, pegball, pegball.cli
+assert "pegball.verify" not in sys.modules, "verify"
+assert "pegball.reference" not in sys.modules, "reference"
+from pegball import CheckResult, paper_suite, property_suite, run_suites
+from pegball import verify
+assert run_suites is verify.run_suites and CheckResult is verify.CheckResult
+assert not hasattr(pegball, "no_such_name")
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_paper_suite_all_pass():
