@@ -69,56 +69,20 @@ _PERM = "perm", dict(metavar="PERM")
 _PEG = "pegperm", dict(metavar="PEGPERM")
 _K = "--k", dict(type=nonnegative_int, required=True)
 
-# each subcommand's help and the arguments it adds to the common ones
-_SUBCOMMANDS = {
-    "distance": ("exact distance of a permutation", [_PERM]),
-    "peg-distance": ("exact distance of a peg permutation", [_PEG]),
-    "peg": ("collapse a permutation to its peg permutation", [_PERM]),
-    "generate": ("k-generating peg permutations", [_K]),
-    "peg-basis": ("clean compact peg basis of the radius-k ball", [_K]),
-    "basis": ("standard basis with M-set provenance", [
-        _K, ("--cap", dict(
-            metavar="L", type=nonnegative_int, default=None,
-            help="length cap for the basis sweep and the M-set search"))]),
-    "enumerate": ("ball sizes for n = 1 .. n-max", [
-        _K, ("--n-max", dict(type=nonnegative_int, required=True)),
-        ("--method", dict(choices=sorted(m.value for m in CountMethod),
-                          default="bfs"))]),
-    "member": ("ball membership with a witness or violation", [_K, _PERM]),
-    "grid-member": ("grid-class membership", [_PEG, _PERM]),
-    "verify": ("recompute reference values and check invariants", [
-        ("--suite", dict(choices=("paper", "properties", "all"),
-                         default="all"))]),
-}
-
-
-def build_parser(command: str | None = None) -> _Parser:
-    """The pegball parser with every subcommand, or with command's alone:
-    parsing an argv whose first token is command needs no other."""
-    common = _Parser(add_help=False)
-    common.add_argument("--model", choices=("rd", "prd"), default="rd",
-                        help="reversal (rd) or prefix reversal (prd) model")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="distance table cache directory "
-                             "(default: $PEGBALL_CACHE)")
-    common.add_argument("--limit", metavar="N", type=int, default=None,
-                        help="resource limit override (length or k bound, "
-                             "per subcommand)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
-
-    parser = _Parser(prog="pegball",
-                     description="Distance balls of permutations under "
-                                 "reversals and prefix reversals.")
-    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    for name, (text, arguments) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, parents=[common], help=text)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-    return parser
+# the flags every subcommand takes, before its own arguments
+_COMMON = [
+    ("--model", dict(choices=[m.value for m in Model], default="rd",
+                     help="reversal (rd) or prefix reversal (prd) model")),
+    ("--json", dict(action="store_true", help="machine-readable output")),
+    ("--cache-dir", dict(metavar="PATH", default=None,
+                         help="distance table cache directory "
+                              "(default: $PEGBALL_CACHE)")),
+    ("--limit", dict(metavar="N", type=int, default=None,
+                     help="resource limit override (length or k bound, "
+                          "per subcommand)")),
+    ("--seed", dict(type=int, default=0,
+                    help="seed for randomized property checks")),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +203,48 @@ def _cmd_verify(args) -> tuple[object, list[str], int]:
     return payload, lines, code
 
 
-_HANDLERS = {
-    "distance": _cmd_distance,
-    "peg-distance": _cmd_peg_distance,
-    "peg": _cmd_peg,
-    "generate": _cmd_generate,
-    "peg-basis": _cmd_peg_basis,
-    "basis": _cmd_basis,
-    "enumerate": _cmd_enumerate,
-    "member": _cmd_member,
-    "grid-member": _cmd_grid_member,
-    "verify": _cmd_verify,
+# each subcommand's help, the arguments it adds to the common ones, and its
+# handler
+_SUBCOMMANDS = {
+    "distance": ("exact distance of a permutation", [_PERM], _cmd_distance),
+    "peg-distance": ("exact distance of a peg permutation", [_PEG],
+                     _cmd_peg_distance),
+    "peg": ("collapse a permutation to its peg permutation", [_PERM],
+            _cmd_peg),
+    "generate": ("k-generating peg permutations", [_K], _cmd_generate),
+    "peg-basis": ("clean compact peg basis of the radius-k ball", [_K],
+                  _cmd_peg_basis),
+    "basis": ("standard basis with M-set provenance", [
+        _K, ("--cap", dict(
+            metavar="L", type=nonnegative_int, default=None,
+            help="length cap for the basis sweep and the M-set search"))],
+        _cmd_basis),
+    "enumerate": ("ball sizes for n = 1 .. n-max", [
+        _K, ("--n-max", dict(type=nonnegative_int, required=True)),
+        ("--method", dict(choices=sorted(m.value for m in CountMethod),
+                          default="bfs"))], _cmd_enumerate),
+    "member": ("ball membership with a witness or violation", [_K, _PERM],
+               _cmd_member),
+    "grid-member": ("grid-class membership", [_PEG, _PERM], _cmd_grid_member),
+    "verify": ("recompute reference values and check invariants", [
+        ("--suite", dict(choices=("paper", "properties", "all"),
+                         default="all"))], _cmd_verify),
 }
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The pegball parser with every subcommand, or with command's alone:
+    parsing an argv whose first token is command needs no other."""
+    parser = _Parser(prog="pegball",
+                     description="Distance balls of permutations under "
+                                 "reversals and prefix reversals.")
+    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    for name, (text, arguments, _) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, options in _COMMON + arguments:
+                p.add_argument(flag, **options)
+    return parser
 
 
 def run(argv: list[str]) -> int:
@@ -271,7 +265,7 @@ def run(argv: list[str]) -> int:
 
     start = time.perf_counter()
     try:
-        result, lines, code = _HANDLERS[args.command](args)
+        result, lines, code = _SUBCOMMANDS[args.command][2](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

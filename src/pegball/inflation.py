@@ -21,6 +21,7 @@ __all__ = [
     "InflationVector",
     "is_legal",
     "check_legal",
+    "legal_vectors",
     "monotone_inflate",
     "peg_monotone_inflate",
     "grid_member",

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .perm import ParseError, Perm, _occurs, check_permutation, pattern_of
+from .perm import (ParseError, Perm, _occurs, check_permutation, inverse,
+                   pattern_of)
 
 __all__ = [
     "Decoration",
@@ -36,6 +37,7 @@ __all__ = [
     "oriented_reversal",
     "oriented_prefix_reversal",
     "peg_pattern_contains",
+    "proper_patterns",
     "clean_compact_proper_patterns",
     "exceptional",
     "exceptional_t",
@@ -413,13 +415,13 @@ def exceptional_t(kind: ExceptionalKind, n: int) -> int:
     return n // 2 if kind.even else (n + 1) // 2
 
 
-def _interleave(first: Iterable[int], second: Iterable[int]) -> list[int]:
-    return [x for pair in itertools.zip_longest(first, second)
-            for x in pair if x is not None]
-
-
 def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:
     """The four parametric families of prefix-reversal peg basis permutations.
+
+    Each Λ form is the inverse of the Θ form of its parity: Θ's entry at
+    position i with value v becomes Λ's entry at position v with value i,
+    with the same decoration.  Θ marks its value 1, so Λ marks its first
+    entry.
 
     >>> str(exceptional(ExceptionalKind.THETA_ODD, 3))
     '3. 1- 2.'
@@ -431,21 +433,13 @@ def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:
     parity, least = ("even", 2) if kind.even else ("odd", 3)
     if n % 2 != least % 2 or n < least:
         raise ValueError(f"{kind.name} requires {parity} n >= {least}, got {n}")
-    t = exceptional_t(kind, n)
-    if kind is ExceptionalKind.THETA_EVEN:
-        base = list(range(n, 0, -2)) + [1] + list(range(3, n, 2))
-        marked, sign = 1, PLUS
-    elif kind is ExceptionalKind.THETA_ODD:
-        base = list(range(n, 2, -2)) + [1] + list(range(2, n, 2))
-        marked, sign = 1, MINUS
-    elif kind is ExceptionalKind.LAMBDA_EVEN:
-        base = [t + 1] + _interleave(range(t, 0, -1), range(t + 2, n + 1))
-        marked, sign = t + 1, PLUS
+    if kind.even:
+        base, sign = (*range(n, 0, -2), 1, *range(3, n, 2)), PLUS
     else:
-        base = [t] + _interleave(range(t + 1, n + 1), range(t - 1, 0, -1))
-        marked, sign = t, MINUS
-    decs = tuple(sign if v == marked else DOT for v in base)
-    return PegPermutation(tuple(base), decs)
+        base, sign = (*range(n, 2, -2), 1, *range(2, n, 2)), MINUS
+    if kind in (ExceptionalKind.LAMBDA_EVEN, ExceptionalKind.LAMBDA_ODD):
+        return PegPermutation(inverse(base), (sign,) + (DOT,) * (n - 1))
+    return PegPermutation(base, tuple(sign if v == 1 else DOT for v in base))
 
 
 def min_inflation(pp: PegPermutation) -> Perm:

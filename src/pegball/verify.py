@@ -19,12 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from . import reference
-from .basis import (exceptional_check, is_peg_basis_member, m_set, peg_basis,
-                    peg_basis_bound, standard_basis)
+from .basis import (_bullet_ball_level, exceptional_check,
+                    is_peg_basis_member, m_set, peg_basis, peg_basis_bound,
+                    standard_basis)
 from .distance import (Model, TableKind, _ball_level, ball, distance,
                        distance_peg, distance_peg_via_inflation, lower_bound,
                        pair_distance)
@@ -32,7 +33,7 @@ from .enumeration import CountMethod, count_ball, sequence
 from .generators import generating_set, prd_generating_set, rd_inflate_step
 from .inflation import (_inflations, _plan, grid_enumerate, grid_member,
                         legal_vectors)
-from .peg import (_TO_BULLETS, Decoration, ExceptionalKind, PegPermutation,
+from .peg import (Decoration, ExceptionalKind, PegPermutation,
                   _is_clean_compact_key, _peg_deletions, _peg_keys,
                   _peg_of_key, _peg_weakenings, clean_compact_proper_patterns,
                   enumerate_clean_compact, exceptional, format_peg,
@@ -41,7 +42,6 @@ from .peg import (_TO_BULLETS, Decoration, ExceptionalKind, PegPermutation,
 from .perm import (Perm, avoids_all, compose, contains_pattern, format_perm,
                    parse_perm, reversal)
 
-_MODEL = {"rd": Model.RD, "prd": Model.PRD}
 _MAX_DETAIL = 4
 
 
@@ -73,7 +73,7 @@ def _result(suite: str, name: str, failures: list[str], scope: str) -> CheckResu
 def _check_distances(name: str, cases, oracle, parse) -> CheckResult:
     fails = [f"{model_name}({text}) = {got}, expected {want}"
              for model_name, text, want in cases
-             for got in (oracle(_MODEL[model_name], parse(text)),)
+             for got in (oracle(Model(model_name), parse(text)),)
              if got != want]
     return _result("paper", name, fails, f"{len(cases)} exact values")
 
@@ -84,7 +84,7 @@ def _check_generating_sets() -> CheckResult:
                               ("prd", reference.PRD_GENERATING)):
         for k, want in sorted(table.items()):
             got = {format_peg(pp)
-                   for pp in generating_set(_MODEL[model_name], k).members}
+                   for pp in generating_set(Model(model_name), k).members}
             if got != set(want):
                 fails.append(f"{model_name} k={k}: {sorted(got)}")
     for k in range(1, reference.PRD_GENERATING_COUNT_MAX_K + 1):
@@ -99,7 +99,7 @@ def _check_generating_sets() -> CheckResult:
 def _check_peg_bases() -> CheckResult:
     fails = []
     for (model_name, k), want in sorted(reference.PEG_BASES.items()):
-        model = _MODEL[model_name]
+        model = Model(model_name)
         members = peg_basis(model, k).members
         got = {format_peg(pp) for pp in members}
         if got != set(want):
@@ -117,7 +117,7 @@ def _check_peg_bases() -> CheckResult:
 def _check_m_sets() -> CheckResult:
     fails = []
     for model_name, beta_text, want in reference.M_SETS:
-        ms = m_set(_MODEL[model_name], parse_peg(beta_text))
+        ms = m_set(Model(model_name), parse_peg(beta_text))
         if set(ms.members) != {parse_perm(t) for t in want}:
             fails.append(f"M_{{{beta_text}}} = "
                          f"{sorted(format_perm(p) for p in ms.members)}")
@@ -133,7 +133,7 @@ def _check_standard_bases() -> CheckResult:
     frozen["rd", 2] = reference.RD_K2_BASIS
     m_unions = {}
     for (model_name, k), texts in sorted(frozen.items()):
-        model = _MODEL[model_name]
+        model = Model(model_name)
         got, want = standard_basis(model, k), {parse_perm(t) for t in texts}
         if got != want:
             fails.append(f"{model_name} k={k}: missing "
@@ -219,7 +219,7 @@ def _check_exceptional() -> CheckResult:
 def _check_ball_counts() -> CheckResult:
     fails = []
     for model_name, k, want in reference.BALL_COUNTS:
-        got = sequence(_MODEL[model_name], k, len(want))
+        got = sequence(Model(model_name), k, len(want))
         if got != list(want):
             fails.append(f"{model_name} k={k}: {got}")
     for n in range(4, 11):
@@ -305,8 +305,7 @@ def _check_down_set() -> CheckResult:
     # reads the states and reductions of the basis sweep: standard balls as
     # all-bullet pegs, k <= 3 and n <= 6; peg balls k <= 2, n <= 4.
     fails, peg_level = [], partial(_ball_level, kind=TableKind.PEG)
-    bullet_level = lambda model, k, n: set(map(bytes.translate, _ball_level(
-        model, k, n, TableKind.STANDARD), repeat(_TO_BULLETS)))
+    bullet_level = lambda model, k, n: set(_bullet_ball_level(model, k, n))
     for model in Model:
         for level, k_max, n_max in ((bullet_level, 3, 6),
                                     (peg_level, 2, 4)):

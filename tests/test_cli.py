@@ -208,7 +208,8 @@ def test_internal_value_error_propagates(monkeypatch):
     def fault(args):
         raise ValueError("internal fault")
 
-    monkeypatch.setitem(cli._HANDLERS, "distance", fault)
+    text, arguments, _ = cli._SUBCOMMANDS["distance"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "distance", (text, arguments, fault))
     with pytest.raises(ValueError, match="internal fault"):
         main(["distance", "3412"])
 
@@ -263,9 +264,9 @@ def test_command_builds_only_its_subparser(capsys, monkeypatch):
         main(argv)
     capsys.readouterr()
     assert built == ["distance", None, None, None]
-    texts = [text for text, _ in cli._SUBCOMMANDS.values()]
+    texts = [text for text, _, _ in cli._SUBCOMMANDS.values()]
     assert all(text in build().format_help() for text in texts)
-    for name, (text, _) in cli._SUBCOMMANDS.items():
+    for name, (text, _, _) in cli._SUBCOMMANDS.items():
         alone = build(name)
         assert [t for t in texts if t in alone.format_help()] == [text]
         assert alone.format_usage() == build().format_usage()

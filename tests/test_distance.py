@@ -7,6 +7,7 @@ import stat
 import sys
 import zlib
 from collections import Counter, deque
+from dataclasses import replace
 from math import factorial
 from types import SimpleNamespace
 
@@ -493,19 +494,27 @@ def test_table_load_rejects_corrupt(tmp_path):
 
 
 def test_table_load_checks_identity_and_neighbour(tmp_path):
-    path = tmp_path / "t.dist"
+    # each corrupt file is signed with its own checksum, so the check named
+    # in the message is the one that refuses it, and get_table rebuilds it
     for table, probe in ((build_table(Model.RD, 4), 6),
                          (build_table(Model.PRD, 2, TableKind.PEG), 3)):
+        path = cache_path(tmp_path, table.model, table.kind, table.n)
         table.save(path)
         assert DistanceTable.load(path).data == table.data
-        header_len = len(table.header()) + 1
+        corrupt = []
         for rank in (0, probe):
-            raw = bytearray(path.read_bytes())
-            raw[header_len + rank] ^= 1
-            path.write_bytes(bytes(raw))
-            with pytest.raises(ValueError):
+            raw = bytearray(table.data)
+            raw[rank] ^= 1
+            corrupt.append((bytes(raw), "identity or neighbour entry wrong"))
+        corrupt.append((table.data[:-1], "table size"))
+        for data, message in corrupt:
+            replace(table, data=data).save(path)
+            with pytest.raises(ValueError, match=message):
                 DistanceTable.load(path)
-            table.save(path)
+            clear_memory_cache()
+            assert get_table(table.model, table.n, table.kind,
+                             cache_dir=tmp_path).data == table.data
+            assert DistanceTable.load(path).data == table.data
 
 
 def test_get_table_rebuilds_flipped_cache_file(tmp_path):

@@ -109,6 +109,11 @@ def test_is_generating():
     assert not is_generating(Model.RD, 1, parse_peg("1+ 2+ 3+"))
     assert is_generating(Model.PRD, 2, parse_peg("2+ 1- 3+"))
     assert not is_generating(Model.PRD, 2, parse_peg("2. 1- 3+"))
+    # clean compact at distance 2, but its strengthening 2+ 1- 3+ stays
+    # within distance 2
+    assert not is_generating(Model.PRD, 2, parse_peg("2+ 1. 3+"))
+    # clean compact of length 3, at distance 3
+    assert not is_generating(Model.PRD, 2, parse_peg("1+ 2- 3+"))
     assert is_generating(Model.RD, 0, parse_peg("1+"))
 
 

@@ -116,6 +116,12 @@ def test_oriented_reversal_flips_signs_not_bullets():
     assert format_peg(oriented_reversal(parse_peg("2. 1-"), 1, 2)) == "1+ 2."
     assert format_peg(oriented_reversal(parse_peg("3+ 1- 2."), 2, 2)) == "3+ 1+ 2."
     assert format_peg(oriented_prefix_reversal(parse_peg("3+ 1- 2."), 2)) == "1+ 3- 2."
+    # the bullet values name a peg's distance component
+    pp = parse_peg("3+ 1- 2. 5. 4+")
+    assert pp.bullet_values() == frozenset({2, 5})
+    assert {oriented_reversal(pp, i, j).bullet_values()
+            for i in range(1, 6) for j in range(i, 6)} == {frozenset({2, 5})}
+    assert parse_peg("1+ 2-").bullet_values() == frozenset()
 
 
 def test_peg_pattern_contains_weakening_direction():
@@ -205,6 +211,8 @@ def test_enumerate_clean_compact_is_exhaustive_at_2():
 def test_decoration_parsing():
     assert Decoration.from_char("+") is Decoration.PLUS
     assert Decoration.from_char("•") is Decoration.DOT
+    assert Decoration.from_char("−") is Decoration.MINUS
+    assert Decoration.from_char("–") is Decoration.MINUS
     with pytest.raises(ParseError):
         Decoration.from_char("?")
 
