@@ -1,9 +1,9 @@
 """Exact reversal / prefix-reversal distances for standard and peg permutations.
 
 One BFS engine serves both state kinds, bytes of one byte per entry.  It is
-level-synchronous: each move maps a whole frontier in one C-level map of
-bytes.translate or peg._oriented, and filterfalse drops the seen states.  A
-search from the identity by reversals expands one of each mirror pair.
+level-synchronous: each move is one translate mapping a whole frontier in one
+C-level map, and filterfalse drops the seen states.  A search from the
+identity by reversals expands one of each mirror pair.
 
 - A standard state holds a permutation's values; a move is one translate
   relabelling them by a block reversal r, s -> r s, where moving positions
@@ -11,11 +11,20 @@ search from the identity by reversals expands one of each mirror pair.
   of d reversals: both give the word length, the distance.  A positional
   path q = p r_1 ... r_d is a path inverse(q) = r_d ... r_1 inverse(p), as
   r = r^-1, so pair_distance(p, q) searches from inverse(p) to inverse(q).
-- Peg states are the encoding owned by pegball.peg; a move (peg._oriented)
-  is a few slices and a translate.  Bullet values are invariant under
-  oriented reversals, so the peg state space splits by (length, bullet-value
-  set) and each component holds a single goal.  Peg distances are memoized
-  per model by state; a miss merges in the state's whole component.
+- A peg state (the encoding owned by pegball.peg) moves alike, s -> r s by
+  an oriented reversal r of values, though its distance d(s) is defined by
+  moving positions (peg._oriented, s -> s r).  The two agree:
+  1. s stands for the signed permutations giving each bullet entry a sign;
+  2. a positional move takes a representative x to x r, and the identity
+     represents the goal, so d(s) is the least word length of a
+     representative (in the burnt-pancake graph for prefix reversals);
+  3. flipping an entry's sign is a sign flip applied on either side, so
+     r s stands for r times the representatives of s;
+  4. moves are involutions, so d translates from the identity with bullets
+     at s's positions reach exactly such pegs t with d(t) <= d.
+  Value moves keep bullet positions: the peg states split by (length,
+  bullet positions) into components of one goal.  Peg distances are
+  memoized per model by state; a miss merges in the state's component.
 
 Bounded iterative-deepening A* with breakpoint heuristics gives one-off
 distances of permutations too long for tables.
@@ -37,7 +46,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from itertools import (combinations, compress, filterfalse, permutations,
                        product, repeat)
 from math import factorial
@@ -45,7 +54,7 @@ from operator import itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .peg import (_UNSIGN, DOT, MINUS, PegPermutation, _oriented, _peg_key,
+from .peg import (_FLIP_BYTES, DOT, MINUS, PegPermutation, _peg_key,
                   _peg_keys, _peg_of_key, strips)
 from .perm import Perm, check_permutation, identity, inverse
 
@@ -130,20 +139,18 @@ def _blocks(model: Model, n: int, shortest: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _moves(model: Model, n: int) -> list[Callable]:
-    """Each move on a frontier of standard states: relabel the values i+1..j
-    of a block [i, j) as j..i+1 (operator.methodcaller, binding a method per
-    state, is 2.7x slower on 3.11).  Memoized; do not change the list."""
+def _moves(model: Model, n: int, kind=TableKind.STANDARD) -> list[Callable]:
+    """Each move on a frontier of states, one translate s -> r s by the
+    reversal r of a block [i, j) of two entries or more (a peg's of one or
+    more): values i+1..j become j..i+1, a peg byte 3v + c flipping its sign
+    (methodcaller is 2.7x slower on 3.11).  Memoized; do not change it."""
+    width, flip, least = (3, _FLIP_BYTES, 1) if kind is TableKind.PEG else (1, None, 2)
     return [lambda states, table=bytes.maketrans(
-                bytes(range(i + 1, j + 1)), bytes(range(j, i, -1))):
+                bytes(range(width * (i + 1), width * (j + 1))),
+                bytes(width * v + c for v in range(j, i, -1)
+                      for c in range(width)).translate(flip)):
             map(bytes.translate, states, repeat(table))
-            for i, j in _blocks(model, n, 2)]
-
-
-@cache
-def _peg_moves(model: Model, n: int) -> list[Callable]:
-    """Each oriented move on a frontier of peg states, memoized like _moves."""
-    return [partial(map, _oriented(i, j)) for i, j in _blocks(model, n, 1)]
+            for i, j in _blocks(model, n, least)]
 
 
 def _mirror(model: Model, n: int) -> Callable | None:
@@ -235,13 +242,13 @@ def _standard_table(model: Model, n: int) -> dict[bytes, int]:
 
 
 def _peg_distance(model: Model, key: bytes) -> int:
-    """The distance of the peg state key.  On a miss, its component is
-    searched from its goal, the sorted unsigned state, and merged in."""
+    """The distance of the peg state key.  A miss merges in its component,
+    searched from the identity with bullets at key's bullet positions."""
     try:
         return _PEG_DISTANCES[model][key]
     except KeyError:
-        goal = bytes(sorted(key.translate(_UNSIGN)))
-        comp = _frontier_bfs([goal], _peg_moves(model, len(goal)))
+        goal = _peg_key(identity(len(key)), ["." if b % 3 == 2 else "+" for b in key])
+        comp = _frontier_bfs([goal], _moves(model, len(key), TableKind.PEG))
         _PEG_DISTANCES.setdefault(model, {}).update(comp)
         return comp[key]
 
@@ -510,7 +517,7 @@ def _ball_level(model: Model, k: int, n: int, kind: TableKind,
     if kind is TableKind.STANDARD:
         return _standard_search(model, identity(n), k)
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
-    return _frontier_bfs(goals, _peg_moves(model, n), k)
+    return _frontier_bfs(goals, _moves(model, n, kind), k)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "proper_patterns",
     "clean_compact_proper_patterns",
     "exceptional",
-    "exceptional_t",
     "min_inflation",
     "enumerate_clean_compact",
     "parse_peg",
@@ -159,8 +158,6 @@ _FROM_BULLETS = bytes.maketrans(_TO_BULLETS[:len(_VALUES)], _VALUES)
 _FLIP_BYTES = bytes.maketrans(
     bytes(_KEY_BYTES),
     bytes(b - b % 3 + _CODES.index(_FLIP[_CODES[b % 3]]) for b in _KEY_BYTES))
-# a state with its - codes made +, sorted, is the goal of its component
-_UNSIGN = bytes.maketrans(bytes(_KEY_BYTES[1::3]), bytes(_KEY_BYTES[::3]))
 # adjacent state bytes whose entries share a strip (consecutive values only)
 _LINKED = frozenset(
     (a, b) for v in range(1, _MAX_STATE_VALUE)
@@ -188,7 +185,7 @@ def _peg_of_key(key: bytes) -> PegPermutation:
 @cache
 def _drop(v: int) -> bytes:
     """The translation that renumbers the values above v once v is deleted."""
-    return bytes(b - 3 * (b // 3 > v) for b in range(256))
+    return bytes(range(3 * v + 3)) + bytes(range(3 * v, 253))
 
 
 def _peg_deletions(key: bytes) -> Iterator[bytes]:
@@ -206,7 +203,7 @@ def _str_key(base: Perm, decorations: Sequence[str]) -> str:
 @cache
 def _str_drop(v: int, m: int) -> str:
     """_drop(v) for the str states of length m."""
-    return "".join(chr(c - 3 * (c // 3 > v)) for c in range(3 * m + 3))
+    return "".join(map(chr, [*range(3 * v + 3), *range(3 * v, 3 * m)]))
 
 
 def _str_deletions(key: str) -> Iterator[str]:
@@ -409,10 +406,6 @@ class ExceptionalKind(Enum):
     @property
     def even(self) -> bool:
         return self in (ExceptionalKind.THETA_EVEN, ExceptionalKind.LAMBDA_EVEN)
-
-
-def exceptional_t(kind: ExceptionalKind, n: int) -> int:
-    return n // 2 if kind.even else (n + 1) // 2
 
 
 def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:

@@ -253,14 +253,14 @@ def test_ball():
                 assert len(ball(Model(model), k, n)) == want
 
 
-def _assert_bellman(dist, states, goal, neighbours):
-    """dist holds exactly states, 0 at goal and 1 + the least neighbour
-    distance elsewhere: the unique solution, so the exact distances."""
+def _assert_bellman(dist, states, goals, neighbours):
+    """dist holds exactly states, 0 at the goals and 1 + the least neighbour
+    distance elsewhere: the unique solution, so the exact distances to the
+    goal of each component when it holds one."""
     assert dist.keys() == set(states)
-    assert dist[goal] == 0
     for s in states:
-        if s != goal:
-            assert dist[s] == 1 + min(dist[t] for t in neighbours(s)), s
+        assert dist[s] == (0 if s in goals else
+                           1 + min(dist[t] for t in neighbours(s))), s
 
 
 def _standard_neighbours(model, p):
@@ -278,7 +278,7 @@ def test_frontier_bfs_matches_per_state_bfs(model):
         table = _standard_search(model, identity(n))  # turns bottom-up
         _assert_bellman({tuple(s): d for s, d in table.items()},
                         itertools.permutations(identity(n)),
-                        identity(n), lambda p: _standard_neighbours(model, p))
+                        {identity(n)}, lambda p: _standard_neighbours(model, p))
         # unfolded: the table search takes the mirror for reversals
         top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
         assert top_down == table, n
@@ -320,23 +320,28 @@ def _oriented_neighbours(model, pp):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_peg_components_satisfy_bellman(model):
+    # a miss relabels values; the Bellman check moves positions, across the
+    # components, which keep bullet positions, not bullet values
     for n in range(5):
-        for mask in range(2 ** n):
-            bullets = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-            pegs = [PegPermutation(base, decs)
-                    for base in itertools.permutations(identity(n))
-                    for decs in itertools.product("+-.", repeat=n)
-                    if {v for v, d in zip(base, decs) if d == "."} == bullets]
-            goal = PegPermutation(identity(n), ["." if v in bullets else "+"
-                                                for v in identity(n)])
-            # one miss merges exactly the goal's component into the memo
+        pegs = [PegPermutation(base, decs)
+                for base in itertools.permutations(identity(n))
+                for decs in itertools.product("+-.", repeat=n)]
+        goals, dist = set(), {}
+        for decs in itertools.product("+.", repeat=n):
+            goal = PegPermutation(identity(n), decs)
+            bullets = [d == "." for d in decs]
+            # one miss merges exactly the pegs with bullets at the goal's
+            # positions into the memo
             clear_memory_cache()
             assert _peg_distance(model, goal._key) == 0
-            comp = _PEG_DISTANCES[model]
-            dist = {_peg_of_key(key): d for key, d in comp.items()}
-            assert len(dist) == len(comp)
-            _assert_bellman(dist, pegs, goal,
-                            lambda pp: _oriented_neighbours(model, pp))
+            comp = {_peg_of_key(key): d
+                    for key, d in _PEG_DISTANCES[model].items()}
+            assert comp.keys() == {pp for pp in pegs if bullets == [
+                d == "." for d in pp.decorations]}, goal
+            goals.add(goal)
+            dist.update(comp)
+        _assert_bellman(dist, pegs, goals,
+                        lambda pp: _oriented_neighbours(model, pp))
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -683,7 +688,8 @@ def test_warm_distance_peg_matches_table(model):
 def test_warm_reads_skip_checks_and_environment(monkeypatch):
     module = sys.modules[distance.__module__]
     distance(Model.PRD, (1, 2, 3, 4, 5))
-    want = distance_peg(Model.RD, parse_peg("2. 1- 3+"))  # warms bullet set {2}
+    # warms the pegs with their bullet in the first position
+    want = distance_peg(Model.RD, parse_peg("2. 1- 3+"))
 
     class Refused(Exception):
         pass
@@ -698,7 +704,7 @@ def test_warm_reads_skip_checks_and_environment(monkeypatch):
     monkeypatch.setattr(module, "_frontier_bfs", refuse)
     assert distance(Model.PRD, (3, 1, 4, 2, 5)) == 4
     assert distance_peg(Model.RD, parse_peg("2. 1- 3+")) == want
-    assert distance_peg(Model.RD, parse_peg("3+ 1- 2.")) == 2
+    assert distance_peg(Model.RD, parse_peg("3. 1- 2+")) == 3
     with pytest.raises(Refused):
         distance(Model.PRD, (3, 1, 4, 2, 6))
 
