@@ -386,5 +386,5 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
 def _bullet_ball_level(model: Model, k: int, n: int) -> Iterable[bytes]:
     """B_k(n) as all-bullet peg states: the table search cut at radius k,
     encoded lazily as the states are read."""
-    return map(bytes.translate, _standard_search(model, identity(n), k),
-               repeat(_TO_BULLETS))
+    *_, level = _standard_search(model, identity(n), k)
+    return map(bytes.translate, level, repeat(_TO_BULLETS))

@@ -29,15 +29,17 @@ identity by reversals expands one of each mirror pair.
 Bounded iterative-deepening A* with breakpoint heuristics gives one-off
 distances of permutations too long for tables.
 
-A cache directory only persists the memoized tables: its file holds the
-distances in rank order (lexicographic on permutations) under a header
-with their CRC-32, seeds the dict on first use and is written from the
-dict when missing or corrupt.  Reads always go to the dict.
+A standard table is searched only as deep as its reads need: a miss runs
+every check, then advances the search a layer at a time until the state is
+in the dict.  Layers are whole and a mirror keeps depth, so after layer d
+the dict is B_d, exact; an exception mid-search drops it.  A cache file
+holds a whole table in rank (lexicographic) order under its CRC-32: a valid
+file fills the dict; a missing or corrupt one is rewritten.
 
 A warm read is one memo probe and one table read: distance() memoizes its
-table per (model, n, cache_dir), where a hit is exactly a valid permutation,
-and distance_peg() reads the state its peg object encoded once.  A miss runs
-every check, and only a miss reads PEGBALL_CACHE.  Model hashes by identity.
+table per (model, n, cache_dir), where a hit is exactly a valid permutation
+searched already, and distance_peg() reads the state its peg object encoded
+once.  Only a miss reads PEGBALL_CACHE.  Model hashes by identity.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from itertools import (combinations, compress, filterfalse, permutations,
 from math import factorial
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .peg import (_FLIP_BYTES, DOT, MINUS, PegPermutation, _peg_key,
                   _peg_keys, _peg_of_key, strips)
@@ -171,6 +173,7 @@ def _mirror(model: Model, n: int) -> Callable | None:
 # BFS engines
 
 _STANDARD_TABLES: dict[tuple[Model, int], dict[bytes, int]] = {}
+_SEARCHES: dict[tuple[Model, int], Iterator[dict[bytes, int]]] = {}
 # model -> peg state -> distance, for every state of each component searched
 _PEG_DISTANCES: dict[Model, dict[bytes, int]] = {}
 # (model, n, cache_dir) -> the table distance() reads, persisted to the
@@ -181,8 +184,8 @@ _READS: dict[tuple[Model, int, str | Path | None], dict[bytes, int]] = {}
 def _frontier_bfs(starts: Iterable, moves: list[Callable],
                   max_depth: int | None = None, *,
                   space: tuple[int, Callable[[], Iterable]] | None = None,
-                  mirror: Callable | None = None) -> dict:
-    """Distances from the nearest of starts, out to max_depth if given.
+                  mirror: Callable | None = None) -> Iterator[dict]:
+    """One dict of distances from starts, out to max_depth, yielded per layer.
 
     Every move maps a list of states and must be a bijection whose inverse
     is also a move.  space, for a caller that can list the whole state space,
@@ -201,6 +204,7 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
     frontier = list(dist)
     unvisited = None
     depth = 0
+    yield dist
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
         if (unvisited is None and space is not None
@@ -222,11 +226,11 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
                 unvisited = list(compress(unvisited, map(not_, hits)))
             dist.update(zip(layer, repeat(depth)))
         frontier = layer
-    return dist
+        yield dist
 
 
-def _standard_search(model: Model, start: Perm,
-                     max_depth: int | None = None) -> dict[bytes, int]:
+def _standard_search(model: Model, start: Perm, max_depth: int | None = None
+                     ) -> Iterator[dict[bytes, int]]:
     """Distances by translates from start, out to max_depth if given."""
     n = len(start)
     return _frontier_bfs([bytes(start)], _moves(model, n), max_depth, space=(
@@ -234,10 +238,28 @@ def _standard_search(model: Model, start: Perm,
         mirror=_mirror(model, n) if start == identity(n) else None)
 
 
-def _standard_table(model: Model, n: int) -> dict[bytes, int]:
+def _standard_table(model: Model, n: int, key: bytes | None = None,
+                    ranked: bytes | None = None) -> dict:
+    """The table of (model, n), searched until it holds the state key, or to
+    its end; ranked, whole data in rank (lexicographic) order, fills it and
+    ends its search instead.  An exception drops it, its search and reads."""
     table = _STANDARD_TABLES.get((model, n))
-    if table is None:
-        table = _STANDARD_TABLES[model, n] = _standard_search(model, identity(n))
+    if table is None and ranked is None:
+        _SEARCHES[model, n] = _standard_search(model, identity(n))
+        table = _STANDARD_TABLES[model, n] = next(_SEARCHES[model, n])
+    try:
+        if table is None or (ranked and _SEARCHES.pop((model, n), None)):
+            table = _STANDARD_TABLES.setdefault((model, n), {})
+            table.update(zip(map(bytes, permutations(identity(n))), ranked))
+        while key not in table and (model, n) in _SEARCHES:
+            if next(_SEARCHES[model, n], None) is None:
+                del _SEARCHES[model, n]
+    except BaseException:
+        for memo in (_STANDARD_TABLES, _SEARCHES):
+            memo.pop((model, n), None)
+        for read in [read for read in _READS if read[:2] == (model, n)]:
+            del _READS[read]
+        raise
     return table
 
 
@@ -248,15 +270,14 @@ def _peg_distance(model: Model, key: bytes) -> int:
         return _PEG_DISTANCES[model][key]
     except KeyError:
         goal = _peg_key(identity(len(key)), ["." if b % 3 == 2 else "+" for b in key])
-        comp = _frontier_bfs([goal], _moves(model, len(key), TableKind.PEG))
+        *_, comp = _frontier_bfs([goal], _moves(model, len(key), TableKind.PEG))
         _PEG_DISTANCES.setdefault(model, {}).update(comp)
         return comp[key]
 
 
 def clear_memory_cache() -> None:
-    _STANDARD_TABLES.clear()
-    _PEG_DISTANCES.clear()
-    _READS.clear()
+    for memo in (_STANDARD_TABLES, _SEARCHES, _PEG_DISTANCES, _READS):
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +310,9 @@ def distance(model: Model, p: Perm, *, limit: int | None = None,
     directory = cache_dir if cache_dir is not None else os.environ.get(_ENV_CACHE)
     if directory and (model, n, directory) not in _READS:
         get_table(model, n, cache_dir=directory, limit=limit)
-    table = _READS[model, n, cache_dir] = _standard_table(model, n)
-    return table[bytes(map(int, p))]  # values equal to 1..n, as True or 2.0
+    key = bytes(map(int, p))  # values equal to 1..n, as True or 2.0
+    table = _READS[model, n, cache_dir] = _standard_table(model, n, key)
+    return table[key]
 
 
 def distance_peg(model: Model, pp: PegPermutation, *,
@@ -321,7 +343,8 @@ def pair_distance(model: Model, p: Perm, q: Perm) -> int:
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
     _effective_limit(len(p), None, TableKind.STANDARD)
-    return _standard_search(model, inverse(p))[bytes(inverse(q))]
+    goal = bytes(inverse(q))
+    return next(d[goal] for d in _standard_search(model, inverse(p)) if goal in d)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +537,10 @@ def _ball_level(model: Model, k: int, n: int, kind: TableKind,
     if k < 0:
         raise ValueError(f"negative radius: {k}")
     _effective_limit(n, limit, kind)
-    if kind is TableKind.STANDARD:
-        return _standard_search(model, identity(n), k)
+    if kind is TableKind.STANDARD:  # the last yield holds the ball
+        return [*_standard_search(model, identity(n), k)][-1]
     goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
-    return _frontier_bfs(goals, _moves(model, n, kind), k)
+    return [*_frontier_bfs(goals, _moves(model, n, kind), k)][-1]
 
 
 @dataclass(frozen=True)
@@ -610,9 +633,9 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
 
     The directory comes from the argument or PEGBALL_CACHE, read on every
     call here but by distance() only at its first call per (model, n) since
-    import or clear_memory_cache().  A valid standard file seeds the
-    in-memory table that distance() reads, unless that table is already in
-    memory; without one, the file is written from the in-memory table.
+    import or clear_memory_cache().  A valid standard file fills the
+    in-memory table that distance() reads, unless that table is already
+    whole; without one, the file is written from the whole table.
     Either way distance() then skips the directory for this (model, n).  A
     corrupt cache file is rebuilt, not trusted.
     """
@@ -628,10 +651,7 @@ def get_table(model: Model, n: int, kind: TableKind = TableKind.STANDARD, *,
     if table is None or (table.model, table.kind, table.n) != (model, kind, n):
         table = build_table(model, n, kind, limit=limit)
         table.save(path)
-    elif kind is TableKind.STANDARD and (model, n) not in _STANDARD_TABLES:
-        # lexicographic order is rank order
-        _STANDARD_TABLES[model, n] = dict(
-            zip(map(bytes, permutations(identity(n))), table.data))
     if kind is TableKind.STANDARD:
-        _READS[model, n, directory] = _standard_table(model, n)
+        _READS[model, n, directory] = _standard_table(model, n,
+                                                      ranked=table.data)
     return table

@@ -16,10 +16,10 @@ import pytest
 from pegball import reference
 from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
                            standard_basis_bound)
-from pegball.distance import (_PEG_DISTANCES, _READS, _STANDARD_TABLES,
-                              DistanceTable, Model, ResourceLimitError,
-                              TableKind, _frontier_bfs, _mirror, _moves,
-                              _peg_distance,
+from pegball.distance import (_PEG_DISTANCES, _READS, _SEARCHES,
+                              _STANDARD_TABLES, DistanceTable, Model,
+                              ResourceLimitError, TableKind, _frontier_bfs,
+                              _mirror, _moves, _peg_distance,
                               _standard_search, _standard_table, ball,
                               breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
@@ -275,12 +275,12 @@ def _standard_neighbours(model, p):
 def test_frontier_bfs_matches_per_state_bfs(model):
     # the engine relabels values; the Bellman check moves positions
     for n in range(9):
-        table = _standard_search(model, identity(n))  # turns bottom-up
+        *_, table = _standard_search(model, identity(n))  # turns bottom-up
         _assert_bellman({tuple(s): d for s, d in table.items()},
                         itertools.permutations(identity(n)),
                         {identity(n)}, lambda p: _standard_neighbours(model, p))
         # unfolded: the table search takes the mirror for reversals
-        top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
+        *_, top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
         assert top_down == table, n
 
 
@@ -378,6 +378,13 @@ TABLE_SHA256 = {
         "57b6c45ab88d1e9692fb8094184cb8c463025ed3ae9a3e175361edb0be696aed",
         "ec30fa2a001183c6557a908732d90eb2e70c3146a6ee5f92a7a27881aaedc3ec",
     ),
+}
+
+
+# and for n = 9, recorded before tables were searched only as deep as read
+TABLE_SHA256_N9 = {
+    "rd": "a0be774f5bc7fb1ac3040ee6ef0f2e031e592d464dbbee524139208be801a90f",
+    "prd": "916806a7e456144438cfc85fac9f79e61fb86b3b57dd0166f51f3e71ed2e9ecb",
 }
 
 
@@ -587,7 +594,7 @@ def test_distance_with_cache_dir(tmp_path):
 @pytest.mark.parametrize("model", list(Model))
 def test_distance_with_cache_dir_matches_bfs(model, tmp_path):
     for n in range(8):
-        want = _standard_search(model, identity(n))
+        *_, want = _standard_search(model, identity(n))
         # the first pass writes the file, the second reads it back
         for _ in range(2):
             clear_memory_cache()
@@ -617,6 +624,169 @@ def test_cache_file_never_replaces_memory_table(tmp_path):
     get_table(Model.RD, 5, cache_dir=tmp_path)
     assert distance(Model.RD, (2, 1, 3, 4, 5), cache_dir=tmp_path / "b") == 1
     assert _standard_table(Model.RD, 5) is table
+    # a valid file fills a partial table in place and ends its search
+    whole = dict(table)
+    clear_memory_cache()
+    assert distance(Model.RD, (2, 1, 3, 4, 5)) == 1
+    table = _STANDARD_TABLES[Model.RD, 5]
+    assert len(table) == 11 and (Model.RD, 5) in _SEARCHES
+    get_table(Model.RD, 5, cache_dir=tmp_path)
+    assert _standard_table(Model.RD, 5) is table and table == whole
+    assert (Model.RD, 5) not in _SEARCHES
+
+
+def test_get_table_fills_partial_table_from_file_without_search(
+        tmp_path, monkeypatch):
+    for model in Model:
+        get_table(model, 6, cache_dir=tmp_path)
+    clear_memory_cache()
+    for model in Model:
+        assert distance(model, (2, 1, 3, 4, 5, 6)) == 1
+    partial = {model: _STANDARD_TABLES[model, 6] for model in Model}
+    monkeypatch.setattr(sys.modules[distance.__module__], "_frontier_bfs",
+                        refuse_search)
+    for model in Model:
+        assert distance(model, (1, 2, 3, 4, 5, 6)) == 0  # no search started
+        want = build_table(model, 6)
+        assert get_table(model, 6, cache_dir=tmp_path).data == want.data
+        assert _standard_table(model, 6) is partial[model]
+        assert bytes(map(partial[model].__getitem__, map(
+            bytes, itertools.permutations(identity(6))))) == want.data
+        assert distance(model, (6, 5, 4, 3, 2, 1), cache_dir=tmp_path) == \
+            distance(model, (6, 5, 4, 3, 2, 1))
+
+
+def refuse_search(*args, **kwargs):
+    raise AssertionError("a search started")
+
+
+def _down_set(model, n, depth):
+    *_, whole = _standard_search(model, identity(n))
+    return {s: d for s, d in whole.items() if d <= depth}
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_near_read_searches_only_to_its_depth(model):
+    clear_memory_cache()
+    p = tuple(range(9, 0, -1))  # one move from the identity
+    assert distance(model, p) == 1
+    table = _STANDARD_TABLES[model, 9]
+    # rd: the identity and 36 reversals; prd: the identity and 8 prefixes
+    assert len(table) == (37 if model is Model.RD else 9)
+    assert (model, 9) in _SEARCHES
+    near = dict(table)
+    # a far read extends the same dict
+    far = (2, 4, 6, 8, 1, 3, 5, 7, 9)
+    d = distance(model, far)
+    assert d == distance_bounded(model, far, d) == (5 if model is Model.RD
+                                                    else 8)
+    assert _STANDARD_TABLES[model, 9] is table
+    farther = dict(table)
+    # a whole table completes it, and ends the search
+    data = build_table(model, 9).data
+    assert _standard_table(model, 9) is table and len(table) == factorial(9)
+    assert (model, 9) not in _SEARCHES
+    assert hashlib.sha256(data).hexdigest() == TABLE_SHA256_N9[model.value]
+    # each partial table was the ball of its read's radius, exactly
+    for partial, radius in ((near, 1), (farther, d)):
+        assert partial == {s: e for s, e in table.items() if e <= radius}
+    assert distance(model, p) == 1
+    clear_memory_cache()
+    assert distance(model, p) == 1
+    clear_memory_cache()
+    assert not _SEARCHES and not _STANDARD_TABLES
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_partial_table_holds_whole_layers(model):
+    # each read completes layers, and only as many as its state needs
+    n = 7
+    *_, whole = _standard_search(model, identity(n))
+    by_depth = sorted(whole.items(), key=lambda item: (item[1], item[0]))
+    clear_memory_cache()
+    rng = random.Random(7)
+    for depth in range(max(whole.values()) + 1):
+        states = [s for s, d in by_depth if d == depth]
+        for s in rng.sample(states, min(3, len(states))):
+            assert distance(model, tuple(s)) == depth
+            assert _STANDARD_TABLES[model, n] == _down_set(model, n, depth)
+
+
+def test_invalid_read_never_advances_a_search(monkeypatch):
+    clear_memory_cache()
+    assert distance(Model.RD, identity(9)) == 0
+    table = _STANDARD_TABLES[Model.RD, 9]
+    assert len(table) == 1
+    for bad in ((1, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 6, 7, 8),
+                (2, 1, 3, 4, 5, 6, 7, 8, 10), (2.5, 1, 3, 4, 5, 6, 7, 8, 9)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            distance(Model.RD, bad)
+        assert len(table) == 1, bad
+    with pytest.raises(ResourceLimitError):
+        distance(Model.RD, (2, 1, 3, 4, 5, 6, 7, 8, 9), limit=8)
+    assert len(table) == 1
+    # nor starts one
+    monkeypatch.setattr(sys.modules[distance.__module__], "_frontier_bfs",
+                        refuse_search)
+    with pytest.raises(ValueError, match="not a permutation"):
+        distance(Model.PRD, (1, 1, 2, 3, 4, 5, 6, 7, 8))
+    assert (Model.PRD, 9) not in _STANDARD_TABLES
+
+
+def test_interrupted_search_drops_its_table(monkeypatch):
+    class Interrupt(BaseException):  # as KeyboardInterrupt is
+        pass
+
+    module = sys.modules[distance.__module__]
+    real_moves = module._moves
+    calls = []
+
+    def interrupted_moves(model, n, kind=TableKind.STANDARD):
+        first, *rest = real_moves(model, n, kind)
+
+        def move(states):
+            calls.append(n)
+            if len(calls) == 2:  # the first move of the second layer
+                raise Interrupt
+            return first(states)
+        return [move, *rest]
+
+    clear_memory_cache()
+    monkeypatch.setattr(module, "_moves", interrupted_moves)
+    near, far = (2, 1, 3, 4, 5, 6), (2, 4, 6, 1, 3, 5)
+    assert distance(Model.RD, near) == 1
+    assert distance(Model.RD, near, cache_dir=None) == 1
+    with pytest.raises(Interrupt):
+        distance(Model.RD, far)
+    assert (Model.RD, 6) not in _STANDARD_TABLES
+    assert (Model.RD, 6) not in _SEARCHES
+    assert not any(key[:2] == (Model.RD, 6) for key in _READS)
+    monkeypatch.setattr(module, "_moves", real_moves)
+    d = distance(Model.RD, far)
+    assert d == distance_bounded(Model.RD, far, 6) and d > 1
+    assert distance(Model.RD, near) == 1
+    assert _STANDARD_TABLES[Model.RD, 6] == _down_set(Model.RD, 6, d)
+
+
+def test_interrupted_fill_drops_its_table(tmp_path, monkeypatch):
+    get_table(Model.PRD, 6, cache_dir=tmp_path)
+    clear_memory_cache()
+    assert distance(Model.PRD, (2, 1, 3, 4, 5, 6)) == 1
+    module = sys.modules[distance.__module__]
+    real_permutations = module.permutations
+
+    def interrupted_permutations(values):
+        yield from itertools.islice(real_permutations(values), 100)
+        raise MemoryError
+
+    monkeypatch.setattr(module, "permutations", interrupted_permutations)
+    with pytest.raises(MemoryError):  # the file fills the partial table
+        get_table(Model.PRD, 6, cache_dir=tmp_path)
+    assert (Model.PRD, 6) not in _STANDARD_TABLES
+    assert (Model.PRD, 6) not in _SEARCHES and not _READS
+    monkeypatch.setattr(module, "permutations", real_permutations)
+    far = (6, 5, 4, 3, 2, 1)
+    assert distance(Model.PRD, far) == distance_bounded(Model.PRD, far, 9)
 
 
 def test_distance_env_cache(tmp_path, monkeypatch):
@@ -687,7 +857,8 @@ def test_warm_distance_peg_matches_table(model):
 
 def test_warm_reads_skip_checks_and_environment(monkeypatch):
     module = sys.modules[distance.__module__]
-    distance(Model.PRD, (1, 2, 3, 4, 5))
+    # searches the n = 5 table out to depth 4, the depth of (3, 1, 4, 2, 5)
+    assert distance(Model.PRD, (2, 1, 3, 5, 4)) == 4
     # warms the pegs with their bullet in the first position
     want = distance_peg(Model.RD, parse_peg("2. 1- 3+"))
 
