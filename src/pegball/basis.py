@@ -266,6 +266,15 @@ def exceptional_check(k: int) -> list[ExceptionalReport]:
     return out
 
 
+def _target_and_cap(model: Model, beta: PegPermutation,
+                    length_cap: int | None) -> tuple[int, int]:
+    """beta's peg distance d and its M-set's length cap: length_cap, by
+    default len(beta) + 2d + 2."""
+    target = distance_peg(model, beta)
+    return target, (len(beta) + 2 * (target + 1) if length_cap is None
+                    else length_cap)
+
+
 def m_set(model: Model, beta: PegPermutation,
           length_cap: int | None = None) -> MSet:
     """Minimal permutations in A_beta realizing beta's peg distance d.
@@ -280,8 +289,7 @@ def m_set(model: Model, beta: PegPermutation,
     >>> sorted(m_set(Model.PRD, parse_peg("3. 1- 2.")).members)
     [(4, 2, 1, 3)]
     """
-    target = distance_peg(model, beta)
-    cap = len(beta) + 2 * (target + 1) if length_cap is None else length_cap
+    target, cap = _target_and_cap(model, beta, length_cap)
     candidates = [g for g in a_set_stream(beta, cap)
                   if distance_bounded(model, g, target) == target]
     return MSet(model, beta, target, frozenset(minimal_elements(candidates)),
@@ -318,8 +326,7 @@ def m_set_source(pegs: PegBasis, p: Perm,
     beta = peg_of(p)
     if beta not in pegs.members:
         return None
-    target = distance_peg(pegs.model, beta)
-    cap = len(beta) + 2 * (target + 1) if length_cap is None else length_cap
+    target, cap = _target_and_cap(pegs.model, beta, length_cap)
     if len(p) <= cap and distance_bounded(pegs.model, p, target) == target:
         return beta
     return None

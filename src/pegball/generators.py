@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
 
-from .distance import Model, _check_model, distance_peg
+from .distance import Model, _check_model
 from .inflation import monotone_inflate
 from .peg import (DOT, MINUS, PLUS, PegPermutation, _oriented, _peg_key,
                   _peg_of_key, is_clean_compact, peg_sort_key)
@@ -20,7 +19,6 @@ __all__ = [
     "prd_inflate_step",
     "prd_generating_set",
     "generating_set",
-    "is_generating",
 ]
 
 
@@ -159,42 +157,3 @@ def generating_set(model: Model, k: int) -> GeneratingSet:
         return GeneratingSet(Model.PRD, 0,
                              frozenset({PegPermutation((1,), (PLUS,))}))
     return prd_generating_set(k)
-
-
-def _strengthenings(pp: PegPermutation):
-    """Proper sign-strengthenings: some bullets replaced by signs."""
-    pools = [(DOT, PLUS, MINUS) if d is DOT else (d,) for d in pp.decorations]
-    for decs in product(*pools):
-        if decs != pp.decorations:
-            yield PegPermutation(pp.base, decs)
-
-
-def is_generating(model: Model, k: int, pp: PegPermutation) -> bool:
-    """Exact membership test for the k-generating set.
-
-    RD: length 2k+1, clean compact, bullet-free, distance k. PRD: length
-    k+1, clean compact, distance k, and maximal — no clean compact
-    sign-strengthening stays within distance k (longer extensions are ruled
-    out by the breakpoint bound, so equal-length strengthenings are the only
-    candidates above pp).
-
-    >>> from .peg import parse_peg
-    >>> is_generating(Model.RD, 2, parse_peg("1+ 4- 3+ 2- 5+"))
-    True
-    >>> is_generating(Model.RD, 1, parse_peg("1+"))
-    False
-    >>> is_generating(Model.PRD, 2, parse_peg("2+ 1- 3+"))
-    True
-    """
-    _check_model(model)
-    if model is Model.RD:
-        return (len(pp) == 2 * k + 1
-                and is_clean_compact(pp)
-                and all(d is not DOT for d in pp.decorations)
-                and distance_peg(model, pp) == k)
-    if len(pp) != k + 1 or not is_clean_compact(pp):
-        return False
-    if distance_peg(model, pp) != k:
-        return False
-    return not any(is_clean_compact(qq) and distance_peg(model, qq) <= k
-                   for qq in _strengthenings(pp))

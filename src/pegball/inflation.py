@@ -13,8 +13,8 @@ from functools import cache
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .peg import (_CODES, DOT, MINUS, Decoration, PegPermutation, _closure,
-                  _linked, _str_deletions, _str_key, is_clean_compact)
+from .peg import (_CODES, DOT, MINUS, PegPermutation, _closure, _linked,
+                  _str_deletions, _str_key, is_clean_compact)
 from .perm import Perm
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "check_legal",
     "legal_vectors",
     "monotone_inflate",
-    "peg_monotone_inflate",
     "grid_member",
-    "grid_member_peg",
     "grid_enumerate",
     "a_set_stream",
 ]
@@ -58,44 +56,30 @@ def monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> Perm:
     return next(_inflations(_plan(pp.base, pp.decorations), v, sum(v)))
 
 
-def peg_monotone_inflate(pp: PegPermutation, v: Sequence[int]) -> set[PegPermutation]:
-    """All decorated inflations pp[v]_peg.
+def grid_member(pp: PegPermutation, g: Perm) -> bool:
+    """True iff g is a monotone inflation of pp.
 
-    A + element may blow up into any identity peg permutation (decorations
-    drawn from {+, bullet}), a - element into any reverse identity peg
-    permutation ({-, bullet}), and a surviving bullet stays a bullet.
-
-    >>> sorted(str(q) for q in peg_monotone_inflate(PegPermutation((1,), "+"), (1,)))
-    ['1+', '1.']
-    >>> peg_monotone_inflate(PegPermutation((1,), "."), (0,)) == {PegPermutation((), ())}
-    True
-    """
-    base = monotone_inflate(pp, v)
-    pools = [(DOT,) if d is DOT else (d, DOT)
-             for d, size in zip(pp.decorations, v) for _ in range(size)]
-    return {PegPermutation(base, decs) for decs in itertools.product(*pools)}
-
-
-def _grid_search(pp: PegPermutation, gb: Perm,
-                 gd: tuple[Decoration, ...] | None) -> bool:
-    """Segment gb into len(pp) consecutive blocks, one per element of pp.
-
-    Each block is a run of consecutive values oriented per its element's
-    decoration (bullets of size <= 1), and the blocks' value intervals stack
-    in pp's base order.  With decorations gd, every entry of a block must
-    also be a bullet or carry its element's decoration.
+    The search segments g into len(pp) consecutive blocks, one per element
+    of pp: each block is a run of consecutive values oriented per its
+    element's decoration (bullets of size <= 1), and the blocks' value
+    intervals stack in pp's base order.
 
     The elements are placed left to right, each block longest first and the
     empty block last.  A block is placed only if its value interval lies on
     the side of every block already placed that the base order requires:
     above those of the smaller base values, below those of the larger.  The
-    blocks partition gb's positions, so their value sets partition 1..n and
+    blocks partition g's positions, so their value sets partition 1..n and
     each, being consecutive values, is an interval; disjoint intervals that
     cover 1..n and are pairwise ordered as the base is stack in base order.
     So a placement that uses every position is a segmentation, and the
     pairwise test is exactly the stacking.
+
+    >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (1, 4, 3, 2))
+    True
+    >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (2, 1, 4, 3))
+    False
     """
-    m, n = len(pp), len(gb)
+    m, n = len(pp), len(g)
     base, decs = pp.base, pp.decorations
     # each placed block's values (low, high]; an empty block is (n, 0),
     # which bounds no other block
@@ -106,7 +90,7 @@ def _grid_search(pp: PegPermutation, gb: Perm,
             return True
         if idx == m:
             return False
-        d, a, b = decs[idx], gb[pos], base[idx]
+        d, a, b = decs[idx], g[pos], base[idx]
         # the block's values must lie in (floor, ceil]
         floor, ceil = 0, n
         for k in range(idx):
@@ -115,18 +99,17 @@ def _grid_search(pp: PegPermutation, gb: Perm,
                     floor = high[k]
             elif low[k] < ceil:
                 ceil = low[k]
-        if floor < a <= ceil and (gd is None or gd[pos] in (DOT, d)):
+        if floor < a <= ceil:
             end = pos + 1
             if d is not DOT:
                 # a block ascends by step 1 or descends by step -1
                 step = -1 if d is MINUS else 1
                 last = pos + (a - floor if step < 0 else ceil - a + 1)
-                while (end < last and end < n and gb[end] - gb[end - 1] == step
-                       and (gd is None or gd[end] in (DOT, d))):
+                while end < last and end < n and g[end] - g[end - 1] == step:
                     end += 1
             while end > pos:
-                low[idx], high[idx] = ((gb[end - 1] - 1, a) if d is MINUS
-                                       else (a - 1, gb[end - 1]))
+                low[idx], high[idx] = ((g[end - 1] - 1, a) if d is MINUS
+                                       else (a - 1, g[end - 1]))
                 if rec(end, idx + 1):
                     return True
                 end -= 1
@@ -134,33 +117,6 @@ def _grid_search(pp: PegPermutation, gb: Perm,
         return rec(pos, idx + 1)
 
     return rec(0, 0)
-
-
-def grid_member(pp: PegPermutation, g: Perm) -> bool:
-    """True iff g is a monotone inflation of pp.
-
-    The same search as grid_member_peg on g with every entry a bullet.
-
-    >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (1, 4, 3, 2))
-    True
-    >>> grid_member(PegPermutation((1, 2, 3), "+-+"), (2, 1, 4, 3))
-    False
-    """
-    return _grid_search(pp, g, None)
-
-
-def grid_member_peg(pp: PegPermutation, g: PegPermutation) -> bool:
-    """True iff g is a decorated monotone inflation of pp.
-
-    Blocks for + elements must carry decorations in {+, bullet}, blocks for
-    - elements in {-, bullet}, and a surviving bullet must stay a bullet.
-
-    >>> grid_member_peg(PegPermutation((1,), "+"), PegPermutation((1,), "."))
-    True
-    >>> grid_member_peg(PegPermutation((1, 2, 3), "+-+"), PegPermutation((1, 2), "--"))
-    False
-    """
-    return _grid_search(pp, g.base, g.decorations)
 
 
 def _compositions(caps: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:

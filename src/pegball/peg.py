@@ -32,7 +32,6 @@ __all__ = [
     "strips",
     "perm_strips",
     "is_clean_compact",
-    "is_compact",
     "peg_of",
     "oriented_reversal",
     "oriented_prefix_reversal",
@@ -40,7 +39,6 @@ __all__ = [
     "proper_patterns",
     "clean_compact_proper_patterns",
     "exceptional",
-    "min_inflation",
     "enumerate_clean_compact",
     "parse_peg",
     "format_peg",
@@ -308,19 +306,6 @@ def is_clean_compact(pp: PegPermutation) -> bool:
     return len(strips(pp)) == len(pp)
 
 
-def is_compact(pp: PegPermutation) -> bool:
-    """Strips of length >= 2 consist only of bullet-decorated elements.
-
-    >>> is_compact(parse_peg("3. 4. 1- 5- 2+"))
-    True
-    >>> is_compact(parse_peg("3+ 4. 1- 5- 2+"))
-    False
-    """
-    return all(direction is StripDirection.SINGLETON
-               or all(d is DOT for d in pp.decorations[start - 1:end])
-               for start, end, direction in strips(pp))
-
-
 def peg_of(p: Perm) -> PegPermutation:
     """Collapse each strip of p to its minimum; the result is clean compact.
 
@@ -433,23 +418,6 @@ def exceptional(kind: ExceptionalKind, n: int) -> PegPermutation:
     if kind in (ExceptionalKind.LAMBDA_EVEN, ExceptionalKind.LAMBDA_ODD):
         return PegPermutation(inverse(base), (sign,) + (DOT,) * (n - 1))
     return PegPermutation(base, tuple(sign if v == 1 else DOT for v in base))
-
-
-def min_inflation(pp: PegPermutation) -> Perm:
-    """Inflate bullets by 1 and signed elements by 2.
-
-    For clean compact pp this is the pattern-minimal permutation whose peg
-    is pp.
-
-    >>> min_inflation(parse_peg("3. 1- 2."))
-    (4, 2, 1, 3)
-    >>> min_inflation(parse_peg("2- 3. 1."))
-    (3, 2, 4, 1)
-    """
-    from .inflation import monotone_inflate
-
-    v = tuple(1 if d is DOT else 2 for d in pp.decorations)
-    return monotone_inflate(pp, v)
 
 
 def enumerate_clean_compact(n: int) -> Iterator[PegPermutation]:

@@ -17,7 +17,6 @@ __all__ = [
     "check_permutation",
     "inverse",
     "reversal",
-    "prefix_reversal",
     "compose",
     "pattern_of",
     "contains_pattern",
@@ -88,17 +87,6 @@ def reversal(p: Perm, i: int, j: int) -> Perm:
     if not (1 <= i <= j <= len(p)):
         raise IndexError(f"reversal indices out of range: i={i}, j={j}, n={len(p)}")
     return p[: i - 1] + p[i - 1 : j][::-1] + p[j:]
-
-
-def prefix_reversal(p: Perm, j: int) -> Perm:
-    """Reverse the prefix of length j (the pancake flip).
-
-    >>> prefix_reversal((1, 3, 2), 3)
-    (2, 3, 1)
-    >>> prefix_reversal((4, 2, 1, 3), 4)
-    (3, 1, 2, 4)
-    """
-    return reversal(p, 1, j)
 
 
 def compose(s: Perm, p: Perm) -> Perm:

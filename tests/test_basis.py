@@ -17,7 +17,7 @@ from pegball.distance import (Model, ResourceLimitError, ball, distance,
 from pegball.peg import (_FROM_BULLETS, _TO_BULLETS, ExceptionalKind,
                          PegPermutation, _peg_key, clean_compact_proper_patterns,
                          enumerate_clean_compact, format_peg,
-                         is_clean_compact, is_compact, parse_peg,
+                         is_clean_compact, parse_peg,
                          perm_strips, proper_patterns)
 from pegball.perm import (avoids_all, contains_pattern, format_perm, inverse,
                           parse_perm)
@@ -331,9 +331,3 @@ def test_exceptional_check():
             # exceptional pegs live in two consecutive bases
             assert r.distance == k + 2
             assert r.distance_ok and r.in_basis_k and r.in_basis_k_plus_1
-
-
-def test_compactness_check():
-    assert is_compact(parse_peg("3. 4. 1- 5- 2+"))
-    assert not is_compact(parse_peg("3+ 4. 1- 5- 2+"))
-    assert is_compact(parse_peg(""))

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from pegball import basis as basis_module
-from pegball import reference
+from pegball import reference, verify
 from pegball import cli
 from pegball.basis import m_set, peg_basis, standard_basis
 from pegball.cli import main
@@ -274,13 +274,24 @@ def test_command_builds_only_its_subparser(capsys, monkeypatch):
                 == _help(build(), [name, "--help"], capsys))
 
 
-def test_verify_properties_exit_code(capsys, monkeypatch):
+def test_verify_properties_exit_code(capsys, monkeypatch, property_results):
+    # the property_results fixture's one property_suite(seed=0) run stands
+    # in for a rerun; the failing half reruns only the check it breaks
+    results = property_results
+
+    def suite(seed):
+        assert seed == 0
+        return results
+
+    monkeypatch.setattr(verify, "property_suite", suite)
     assert main(["verify", "--suite", "properties"]) == 0
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1] == "passed 9/9"
     # a failing property check makes the suite report verification failure
     monkeypatch.setattr(reference, "REDUCED_PATTERN_GAPS",
                         frozenset({"2. 4. 1. 3."}))
+    results = [verify._check_reduced_pattern() if r.name == "reduced-pattern"
+               else r for r in property_results]
     assert main(["verify", "--suite", "properties"]) == 4
     out = capsys.readouterr().out
     assert "[properties] reduced-pattern: FAIL" in out

@@ -4,7 +4,7 @@ import pytest
 
 from pegball import generators, reference
 from pegball.distance import Model, ball, distance_peg
-from pegball.generators import (GeneratingSet, generating_set, is_generating,
+from pegball.generators import (GeneratingSet, generating_set,
                                 prd_generating_set, rd_generating_set,
                                 rd_inflate_step)
 from pegball.inflation import grid_member
@@ -101,20 +101,6 @@ def test_rd_inflate_step_closure():
     children = {rd_inflate_step(parent, (i, j))
                 for i in range(1, 4) for j in range(i, 4)}
     assert children == rd_generating_set(2).members
-
-
-def test_is_generating():
-    assert is_generating(Model.RD, 2, parse_peg("1+ 4- 3+ 2- 5+"))
-    assert not is_generating(Model.RD, 1, parse_peg("1+"))
-    assert not is_generating(Model.RD, 1, parse_peg("1+ 2+ 3+"))
-    assert is_generating(Model.PRD, 2, parse_peg("2+ 1- 3+"))
-    assert not is_generating(Model.PRD, 2, parse_peg("2. 1- 3+"))
-    # clean compact at distance 2, but its strengthening 2+ 1- 3+ stays
-    # within distance 2
-    assert not is_generating(Model.PRD, 2, parse_peg("2+ 1. 3+"))
-    # clean compact of length 3, at distance 3
-    assert not is_generating(Model.PRD, 2, parse_peg("1+ 2- 3+"))
-    assert is_generating(Model.RD, 0, parse_peg("1+"))
 
 
 def test_ball_is_union_of_generator_grids():

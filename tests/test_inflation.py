@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +9,7 @@ from pegball.distance import Model
 from pegball.generators import generating_set
 from pegball.inflation import (_compositions, _sub_pegs, a_set_stream,
                                check_legal, grid_enumerate, grid_member,
-                               grid_member_peg, is_legal, legal_vectors,
-                               monotone_inflate, peg_monotone_inflate)
+                               is_legal, legal_vectors, monotone_inflate)
 from pegball.peg import PegPermutation, format_peg, parse_peg, peg_of
 
 
@@ -111,21 +109,12 @@ def test_grid_member():
 
 
 def test_grid_member_matches_inflation_sets():
-    # every peg of length <= 3 against every permutation of length <= 6;
-    # its decorated form against every peg of length <= 3, every decorated
-    # inflation of length 4 and a seeded tenth of the other length-4 pegs
-    rng = random.Random(4)
+    # every peg of length <= 3 against every permutation of length <= 6
     perms = [p for n in range(7) for p in itertools.permutations(range(1, n + 1))]
-    short = _all_pegs(3)
-    long = _all_pegs(4)[len(short):]
-    for pp in short:
+    for pp in _all_pegs(3):
         plain = {monotone_inflate(pp, v)
                  for n in range(7) for v in legal_vectors(pp, n)}
         assert {p for p in perms if grid_member(pp, p)} == plain, pp
-        decorated = set().union(*(peg_monotone_inflate(pp, v) for n in range(5)
-                                  for v in legal_vectors(pp, n)))
-        pegs = short + [q for q in long if q in decorated or rng.random() < 0.1]
-        assert {q for q in pegs if grid_member_peg(pp, q)} == decorated, pp
 
 
 def test_grid_enumerate():
@@ -271,24 +260,6 @@ def test_grid_enumerate_long_pegs():
     falling = PegPermutation(tuple(range(n_long, 0, -1)), "." * n_long)
     assert grid_enumerate({falling}, n_long) == {falling.base}
     assert grid_enumerate({falling}, 3) == {(3, 2, 1)}
-
-
-def test_grid_member_peg():
-    g = parse_peg("1+ 2- 3+")
-    assert grid_member_peg(g, parse_peg("1+ 2- 3+"))
-    assert grid_member_peg(g, parse_peg("1+ 2+"))  # first element blown up
-    assert grid_member_peg(g, parse_peg("2. 1."))  # middle element blown up
-    assert not grid_member_peg(g, parse_peg("2+ 1+"))
-
-
-def test_peg_monotone_inflate():
-    got = sorted(str(q) for q in peg_monotone_inflate(PegPermutation((1,), "+"), (1,)))
-    assert got == ["1+", "1."]
-    assert peg_monotone_inflate(PegPermutation((1,), "."), (0,)) \
-        == {PegPermutation((), ())}
-    got = {format_peg(q)
-           for q in peg_monotone_inflate(parse_peg("1+ 2- 3+"), (0, 2, 0))}
-    assert got == {"2- 1-", "2- 1.", "2. 1-", "2. 1."}
 
 
 def test_a_set_stream():

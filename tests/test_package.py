@@ -3,8 +3,11 @@ bound before it did.  pegball.distance is the distance function, which
 shadows the submodule of that name.
 """
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,16 +20,16 @@ MODULES = ("perm", "peg", "inflation", "distance", "generators", "basis",
 # module that defines them
 HAND_LISTED = {
     "perm": ("Perm", "ParseError", "identity", "inverse", "reversal",
-             "prefix_reversal", "compose", "pattern_of", "contains_pattern",
-             "avoids_all", "minimal_elements", "parse_perm", "format_perm"),
+             "compose", "pattern_of", "contains_pattern", "avoids_all",
+             "minimal_elements", "parse_perm", "format_perm"),
     "peg": ("Decoration", "PegPermutation", "StripDirection",
-            "ExceptionalKind", "strips", "is_clean_compact", "is_compact",
-            "peg_of", "oriented_reversal", "oriented_prefix_reversal",
+            "ExceptionalKind", "strips", "is_clean_compact", "peg_of",
+            "oriented_reversal", "oriented_prefix_reversal",
             "peg_pattern_contains", "clean_compact_proper_patterns",
-            "exceptional", "min_inflation", "enumerate_clean_compact",
-            "parse_peg", "format_peg", "proper_patterns"),
-    "inflation": ("monotone_inflate", "peg_monotone_inflate", "grid_member",
-                  "grid_member_peg", "grid_enumerate", "a_set_stream"),
+            "exceptional", "enumerate_clean_compact", "parse_peg",
+            "format_peg", "proper_patterns"),
+    "inflation": ("monotone_inflate", "grid_member", "grid_enumerate",
+                  "a_set_stream"),
     "distance": ("Model", "TableKind", "ResourceLimitError", "DistanceTable",
                  "distance", "distance_peg", "pair_distance",
                  "distance_bounded", "breakpoints", "lower_bound",
@@ -34,7 +37,7 @@ HAND_LISTED = {
                  "get_table"),
     "generators": ("GeneratingSet", "rd_inflate_step", "rd_generating_set",
                    "prd_inflate_step", "prd_generating_set",
-                   "generating_set", "is_generating"),
+                   "generating_set"),
     "basis": ("PegBasis", "MSet", "peg_basis", "is_peg_basis_member",
               "exceptional_check", "m_set", "standard_basis"),
     "enumeration": ("CountMethod", "count_ball", "sequence"),
@@ -73,3 +76,39 @@ def test_hand_listed_names_still_bound():
         if name != "distance":
             assert getattr(pegball, name) is _module(name)
     assert pegball.__version__ == "0.1.0"
+
+
+SRC = Path(pegball.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# public names no other code calls: clear_memory_cache serves users who free
+# memory, and the tests
+UNCALLED = {"clear_memory_cache"}
+
+
+def _used_names(path):
+    """The names one source file uses as a Name, an Attribute or an import
+    alias, each outside the body of its own def; docstrings and doctests are
+    strings, so they use none."""
+    used = set()
+    for top in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name, node.asname})
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        used |= names
+    return used
+
+
+def test_public_names_are_used():
+    used = set().union(*map(_used_names, SRC.glob("*.py")))
+    bench = "\n".join(p.read_text() for p in PERFBENCH.glob("*.py"))
+    unused = [attr for name in MODULES for attr in _module(name).__all__
+              if attr not in used and not re.search(rf"\b{attr}\b", bench)]
+    assert sorted(unused) == sorted(UNCALLED)

@@ -13,8 +13,8 @@ from pegball.peg import (_MAX_STATE_VALUE, Decoration, ExceptionalKind,
                          _peg_key, _peg_of_key, _peg_weakenings,
                          clean_compact_proper_patterns,
                          enumerate_clean_compact, exceptional, format_peg,
-                         is_clean_compact, is_compact, min_inflation,
-                         oriented_prefix_reversal, oriented_reversal,
+                         is_clean_compact, oriented_prefix_reversal,
+                         oriented_reversal,
                          parse_peg, peg_of, peg_pattern_contains,
                          perm_strips, proper_patterns, strips)
 
@@ -94,8 +94,6 @@ def test_clean_compact_and_compact():
     assert not is_clean_compact(parse_peg("1. 3. 2."))
     assert not is_clean_compact(parse_peg("1+ 2+"))
     assert is_clean_compact(parse_peg("1- 2-"))
-    assert is_compact(parse_peg("3. 4. 1- 5- 2+"))
-    assert not is_compact(parse_peg("3+ 4. 1- 5- 2+"))
 
 
 def test_peg_of_collapses_strips():
@@ -187,12 +185,6 @@ def test_exceptional_forms():
 def test_exceptional_rejects_bad_parity(kind, n):
     with pytest.raises(ValueError):
         exceptional(kind, n)
-
-
-def test_min_inflation():
-    assert min_inflation(parse_peg("2+ 1+")) == (3, 4, 1, 2)
-    assert min_inflation(parse_peg("3. 1- 2.")) == (4, 2, 1, 3)
-    assert min_inflation(parse_peg("1.")) == (1,)
 
 
 def test_enumerate_clean_compact_counts():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from pegball.perm import (ParseError, avoids_all, compose, contains_pattern,
                           format_perm, identity, inverse, is_permutation,
-                          minimal_elements, parse_perm, pattern_of,
-                          prefix_reversal, reversal)
+                          minimal_elements, parse_perm, pattern_of, reversal)
 
 perms = st.integers(1, 7).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))).map(tuple)
@@ -24,7 +23,7 @@ def test_identity_and_checks():
 def test_reversal_is_one_indexed_and_inclusive():
     assert reversal((1, 2, 3, 4), 2, 4) == (1, 4, 3, 2)
     assert reversal((1, 2, 3), 2, 2) == (1, 2, 3)
-    assert prefix_reversal((3, 1, 2), 2) == (1, 3, 2)
+    assert reversal((3, 1, 2), 1, 2) == (1, 3, 2)  # a pancake flip
     with pytest.raises(IndexError):
         reversal((1, 2), 0, 1)
     with pytest.raises(IndexError):
