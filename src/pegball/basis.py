@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .distance import (Model, ResourceLimitError, TableKind, _ball_level,
-                       _check_model, _peg_distance, _standard_search,
+                       _check_model, _frontier_bfs, _peg_distance,
                        distance_bounded, distance_peg)
 from .inflation import a_set_stream
 from .peg import (_FROM_BULLETS, _MAX_STATE_VALUE, _TO_BULLETS, ExceptionalKind,
@@ -393,5 +393,5 @@ def standard_basis(model: Model, k: int, length_cap: int | None = None,
 def _bullet_ball_level(model: Model, k: int, n: int) -> Iterable[bytes]:
     """B_k(n) as all-bullet peg states: the table search cut at radius k,
     encoded lazily as the states are read."""
-    *_, level = _standard_search(model, identity(n), k)
+    *_, level = _frontier_bfs(model, [bytes(identity(n))], k)
     return map(bytes.translate, level, repeat(_TO_BULLETS))

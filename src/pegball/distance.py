@@ -2,8 +2,8 @@
 
 One BFS engine serves both state kinds, bytes of one byte per entry.  It is
 level-synchronous: each move is one translate mapping a whole frontier in one
-C-level map, and filterfalse drops the seen states.  A search from the
-identity by reversals expands one of each mirror pair.
+C-level map, and filterfalse drops the seen states.  A search by reversals
+from starts the mirror w0 s w0 fixes, pegs too, expands one of each pair.
 
 - A standard state holds a permutation's values; a move is one translate
   relabelling them by a block reversal r, s -> r s, where moving positions
@@ -49,12 +49,12 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import (combinations, compress, filterfalse, permutations,
-                       product, repeat)
+from itertools import (chain, combinations, compress, filterfalse,
+                       permutations, product, repeat)
 from math import factorial
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .peg import (_FLIP_BYTES, DOT, MINUS, PegPermutation, _peg_key,
                   _peg_keys, _peg_of_key, strips)
@@ -155,16 +155,20 @@ def _moves(model: Model, n: int, kind=TableKind.STANDARD) -> list[Callable]:
             for i, j in _blocks(model, n, least)]
 
 
-def _mirror(model: Model, n: int) -> Callable | None:
-    """The mirror m(s) = w0 s w0 of a search from the identity by reversals,
-    on a frontier: reverse each state, relabel v as n+1-v.  m is an
-    involution, m(r s) = m(r) m(s), and m(r) reverses [n-j, n-i) if r
-    reverses [i, j): m maps the Cayley graph onto itself and fixes the
-    identity, so it keeps distances from the identity.  Prefix reversals
-    have none: m maps one to a suffix reversal, no move."""
+def _mirror(model: Model, n: int, kind=TableKind.STANDARD) -> Callable | None:
+    """The mirror m(s) = w0 s w0 of a search by reversals, on a frontier:
+    reverse each state, relabel value v as n+1-v (a peg byte 3v + c as
+    3(n+1-v) + c).  m is an involution, and m(r s) = m(r) m(s) for r the
+    (oriented) move on the values (i, j] and m(r) the one on (n-j, n-i]:
+    moves commute with reversing a state, and v is in (i, j] iff n+1-v is
+    in (n-j, n-i], when both sides take an entry v of s to n-i-j+v, sign
+    flipped.  So m maps moves onto moves, and keeps distances from any start
+    set it fixes.  Prefix reversals have none: m of one is a suffix one."""
     if model is not Model.RD:
         return None
-    flip = bytes.maketrans(bytes(range(1, n + 1)), bytes(range(n, 0, -1)))
+    width = 3 if kind is TableKind.PEG else 1
+    flip = bytes.maketrans(bytes(range(width, width * (n + 1))), bytes(
+        width * (n + 1 - v) + c for v in range(1, n + 1) for c in range(width)))
     return lambda states: map(bytes.translate, map(
         itemgetter(slice(None, None, -1)), states), repeat(flip))
 
@@ -181,24 +185,31 @@ _PEG_DISTANCES: dict[Model, dict[bytes, int]] = {}
 _READS: dict[tuple[Model, int, str | Path | None], dict[bytes, int]] = {}
 
 
-def _frontier_bfs(starts: Iterable, moves: list[Callable],
-                  max_depth: int | None = None, *,
-                  space: tuple[int, Callable[[], Iterable]] | None = None,
-                  mirror: Callable | None = None) -> Iterator[dict]:
-    """One dict of distances from starts, out to max_depth, yielded per layer.
+def _frontier_bfs(model: Model, starts: list[bytes], max_depth: int | None = None,
+                  kind=TableKind.STANDARD) -> Iterator[dict]:
+    """One dict of distances from starts, of one kind and length, out to
+    max_depth, yielded per layer.
 
-    Every move maps a list of states and must be a bijection whose inverse
-    is also a move.  space, for a caller that can list the whole state space,
-    is (size, lister); once the frontier outgrows half the unvisited states,
-    the search turns bottom-up (Beamer, Asanovic & Patterson 2012): an
-    unvisited state joins the layer if a move maps it onto a seen state,
-    exactly, as a neighbour of it lies at most one layer closer.  The
-    unvisited states are kept in a list and selected with compress, so they
-    become the keys.  mirror maps a list of states by an involution m that
-    fixes the starts and permutes the moves, so m keeps every layer; a new
-    state's mirror joins unexpanded, as r m(f), f on the frontier, is the
-    mirror of m(r) f.
+    Once the frontier outgrows half the unvisited states, the search turns
+    bottom-up (Beamer, Asanovic & Patterson 2012): an unvisited state joins
+    the layer if a move maps it onto a seen state, exactly, as moves are
+    involutions.  The unvisited states, those with a start's bullet
+    positions (standard ones: the permutations), are kept in a list and
+    selected with compress, so they become the keys.  When the mirror m
+    maps the set of starts onto itself, pegs too, m keeps every layer
+    (_mirror): a new state's mirror joins unexpanded, as r m(f), f on the
+    frontier, is the mirror of m(r) f.
     """
+    n = len(starts[0])
+    moves, mirror = _moves(model, n, kind), _mirror(model, n, kind)
+    if mirror and set(mirror(starts)) != set(starts):
+        mirror = None
+    if kind is TableKind.STANDARD:
+        size, space = factorial(n), lambda: map(bytes, permutations(starts[0]))
+    else:
+        bullets = sorted({bytes(b % 3 == 2 for b in s) for s in starts})
+        size = factorial(n) * sum(2 ** (n - sum(b)) for b in bullets)
+        space = lambda: chain.from_iterable(_peg_keys(n, b) for b in bullets)
     dist = dict.fromkeys(starts, 0)
     seen = dist.__contains__
     frontier = list(dist)
@@ -207,9 +218,8 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
     yield dist
     while frontier and (max_depth is None or depth < max_depth):
         depth += 1
-        if (unvisited is None and space is not None
-                and 2 * len(frontier) > space[0] - len(dist)):
-            unvisited = list(filterfalse(seen, space[1]()))
+        if unvisited is None and 2 * len(frontier) > size - len(dist):
+            unvisited = list(filterfalse(seen, space()))
         layer: list = []
         if unvisited is None:
             for move in moves:
@@ -229,15 +239,6 @@ def _frontier_bfs(starts: Iterable, moves: list[Callable],
         yield dist
 
 
-def _standard_search(model: Model, start: Perm, max_depth: int | None = None
-                     ) -> Iterator[dict[bytes, int]]:
-    """Distances by translates from start, out to max_depth if given."""
-    n = len(start)
-    return _frontier_bfs([bytes(start)], _moves(model, n), max_depth, space=(
-        factorial(n), lambda: map(bytes, permutations(start))),
-        mirror=_mirror(model, n) if start == identity(n) else None)
-
-
 def _standard_table(model: Model, n: int, key: bytes | None = None,
                     ranked: bytes | None = None) -> dict:
     """The table of (model, n), searched until it holds the state key, or to
@@ -245,7 +246,7 @@ def _standard_table(model: Model, n: int, key: bytes | None = None,
     ends its search instead.  An exception drops it, its search and reads."""
     table = _STANDARD_TABLES.get((model, n))
     if table is None and ranked is None:
-        _SEARCHES[model, n] = _standard_search(model, identity(n))
+        _SEARCHES[model, n] = _frontier_bfs(model, [bytes(identity(n))])
         table = _STANDARD_TABLES[model, n] = next(_SEARCHES[model, n])
     try:
         if table is None or (ranked and _SEARCHES.pop((model, n), None)):
@@ -270,7 +271,7 @@ def _peg_distance(model: Model, key: bytes) -> int:
         return _PEG_DISTANCES[model][key]
     except KeyError:
         goal = _peg_key(identity(len(key)), ["." if b % 3 == 2 else "+" for b in key])
-        *_, comp = _frontier_bfs([goal], _moves(model, len(key), TableKind.PEG))
+        *_, comp = _frontier_bfs(model, [goal], kind=TableKind.PEG)
         _PEG_DISTANCES.setdefault(model, {}).update(comp)
         return comp[key]
 
@@ -344,7 +345,8 @@ def pair_distance(model: Model, p: Perm, q: Perm) -> int:
         raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
     _effective_limit(len(p), None, TableKind.STANDARD)
     goal = bytes(inverse(q))
-    return next(d[goal] for d in _standard_search(model, inverse(p)) if goal in d)
+    return next(d[goal] for d in _frontier_bfs(model, [bytes(inverse(p))])
+                if goal in d)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +539,9 @@ def _ball_level(model: Model, k: int, n: int, kind: TableKind,
     if k < 0:
         raise ValueError(f"negative radius: {k}")
     _effective_limit(n, limit, kind)
-    if kind is TableKind.STANDARD:  # the last yield holds the ball
-        return [*_standard_search(model, identity(n), k)][-1]
-    goals = [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)]
-    return [*_frontier_bfs(goals, _moves(model, n, kind), k)][-1]
+    goals = ([bytes(identity(n))] if kind is TableKind.STANDARD else
+             [_peg_key(identity(n), decs) for decs in product("+.", repeat=n)])
+    return [*_frontier_bfs(model, goals, k, kind)][-1]  # the last yield: B_k
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,9 @@ def _linked(v1: int, d1: Decoration, v2: int, d2: Decoration) -> bool:
     return False
 
 
-# Peg states: the codes are the positions in _CODES.  Outside this module,
-# only distance, basis._sweep, enumeration._class_level and verify read them,
-# and inflation._sub_pegs their str form.
+# Peg states: one byte 3 * value + code per entry, the code being the
+# decoration's position in _CODES.  The layout is shared: any module may
+# read, build and move states by it, in bytes or in str form.
 _CODES: tuple[Decoration, ...] = (PLUS, MINUS, DOT)
 # the largest value a state byte holds with every code: 3 * 84 + 2 = 254
 _MAX_STATE_VALUE = 84
@@ -239,11 +239,13 @@ def _pattern_keys(key: bytes) -> set[bytes]:
     return _closure(_closure({key}, _peg_deletions), _peg_weakenings) - {key}
 
 
-def _peg_keys(n: int) -> Iterator[bytes]:
-    """Every peg state of length n in rank order: base lexicographic, then
-    codes with + < - < bullet."""
+def _peg_keys(n: int, bullets: bytes | None = None) -> Iterator[bytes]:
+    """Every peg state of length n, or those whose bullets are where bullets
+    flags, in rank order: base lexicographic, then codes + < - < bullet."""
     for base in itertools.permutations(range(3, 3 * n + 3, 3)):
-        yield from map(bytes, itertools.product(*(range(t, t + 3) for t in base)))
+        yield from map(bytes, itertools.product(*(
+            range(t, t + 3) if bullets is None else (t + 2,) if bullets[i]
+            else (t, t + 1) for i, t in enumerate(base))))
 
 
 def _oriented(i: int, j: int) -> Callable[[bytes], bytes]:

@@ -290,6 +290,7 @@ def test_sweep_past_state_encoding_fails_first(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no BFS may run before the length check")
 
+    monkeypatch.setattr(basis_module, "_frontier_bfs", refuse)
     monkeypatch.setattr(sys.modules[ball.__module__], "_frontier_bfs", refuse)
     assert standard_basis_bound(Model.RD, 8) == 90
     with pytest.raises(ResourceLimitError, match="sweep length 90"):

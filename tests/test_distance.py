@@ -18,9 +18,9 @@ from pegball.basis import (peg_basis, peg_basis_bound, standard_basis,
                            standard_basis_bound)
 from pegball.distance import (_PEG_DISTANCES, _READS, _SEARCHES,
                               _STANDARD_TABLES, DistanceTable, Model,
-                              ResourceLimitError, TableKind, _frontier_bfs,
-                              _mirror, _moves, _peg_distance,
-                              _standard_search, _standard_table, ball,
+                              ResourceLimitError, TableKind, _blocks,
+                              _frontier_bfs, _mirror, _moves, _peg_distance,
+                              _standard_table, ball,
                               breakpoints, build_table,
                               cache_path, clear_memory_cache, distance,
                               distance_bounded, distance_peg,
@@ -29,9 +29,8 @@ from pegball.distance import (_PEG_DISTANCES, _READS, _SEARCHES,
 from pegball.enumeration import CountMethod, count_ball
 from pegball.generators import generating_set
 from pegball.inflation import monotone_inflate
-from pegball.peg import (PegPermutation, _peg_key, _peg_of_key, format_peg,
-                         oriented_prefix_reversal, oriented_reversal,
-                         parse_peg)
+from pegball.peg import (PegPermutation, _oriented, _peg_key, format_peg,
+                         oriented_reversal, parse_peg)
 from pegball.perm import identity, parse_perm, reversal
 
 
@@ -257,7 +256,8 @@ def _assert_bellman(dist, states, goals, neighbours):
     """dist holds exactly states, 0 at the goals and 1 + the least neighbour
     distance elsewhere: the unique solution, so the exact distances to the
     goal of each component when it holds one."""
-    assert dist.keys() == set(states)
+    states = set(states)  # an iterator is read once
+    assert dist.keys() == states
     for s in states:
         assert dist[s] == (0 if s in goals else
                            1 + min(dist[t] for t in neighbours(s))), s
@@ -273,15 +273,14 @@ def _standard_neighbours(model, p):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_frontier_bfs_matches_per_state_bfs(model):
-    # the engine relabels values; the Bellman check moves positions
+    # the engine relabels values, folds by the mirror for reversals and
+    # turns bottom-up; the Bellman check moves positions, and fixes the
+    # table uniquely
     for n in range(9):
-        *_, table = _standard_search(model, identity(n))  # turns bottom-up
+        *_, table = _frontier_bfs(model, [bytes(identity(n))])
         _assert_bellman({tuple(s): d for s, d in table.items()},
                         itertools.permutations(identity(n)),
                         {identity(n)}, lambda p: _standard_neighbours(model, p))
-        # unfolded: the table search takes the mirror for reversals
-        *_, top_down = _frontier_bfs([bytes(identity(n))], _moves(model, n))
-        assert top_down == table, n
 
 
 def _positional_bfs(model, p):
@@ -310,38 +309,33 @@ def test_pair_distance_matches_positional_bfs(model):
     assert pair_distance(model, (True,), (1,)) == 0
 
 
-def _oriented_neighbours(model, pp):
-    n = len(pp)
-    if model is Model.RD:
-        return [oriented_reversal(pp, i, j)
-                for i in range(1, n + 1) for j in range(i, n + 1)]
-    return [oriented_prefix_reversal(pp, j) for j in range(1, n + 1)]
-
-
 @pytest.mark.parametrize("model", list(Model))
 def test_peg_components_satisfy_bellman(model):
     # a miss relabels values; the Bellman check moves positions, across the
-    # components, which keep bullet positions, not bullet values
-    for n in range(5):
-        pegs = [PegPermutation(base, decs)
-                for base in itertools.permutations(identity(n))
-                for decs in itertools.product("+-.", repeat=n)]
+    # components, which keep bullet positions, not bullet values.  For
+    # reversals a component folds iff its bullet positions are symmetric;
+    # the others come in mirror pairs, searched unfolded
+    for n in range(6):
+        states = [_peg_key(base, decs)
+                  for base in itertools.permutations(identity(n))
+                  for decs in itertools.product("+-.", repeat=n)]
+        moves = [_oriented(i, j) for i, j in _blocks(Model.RD, n, 1)
+                 if model is Model.RD or i == 0]
         goals, dist = set(), {}
         for decs in itertools.product("+.", repeat=n):
-            goal = PegPermutation(identity(n), decs)
+            goal = _peg_key(identity(n), decs)
             bullets = [d == "." for d in decs]
-            # one miss merges exactly the pegs with bullets at the goal's
+            # one miss merges exactly the states with bullets at the goal's
             # positions into the memo
             clear_memory_cache()
-            assert _peg_distance(model, goal._key) == 0
-            comp = {_peg_of_key(key): d
-                    for key, d in _PEG_DISTANCES[model].items()}
-            assert comp.keys() == {pp for pp in pegs if bullets == [
-                d == "." for d in pp.decorations]}, goal
+            assert _peg_distance(model, goal) == 0
+            comp = _PEG_DISTANCES[model]
+            assert len(comp) == factorial(n) * 2 ** decs.count("+") and all(
+                [b % 3 == 2 for b in s] == bullets for s in comp), decs
             goals.add(goal)
             dist.update(comp)
-        _assert_bellman(dist, pegs, goals,
-                        lambda pp: _oriented_neighbours(model, pp))
+        _assert_bellman(dist, states, goals,
+                        lambda s: [move(s) for move in moves])
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -395,18 +389,41 @@ def test_table_digests(model):
 
 
 def test_reversal_mirror_maps_the_moves_onto_the_moves():
-    for n in range(8):
-        states = list(map(bytes, itertools.permutations(identity(n))))
-        mirror = _mirror(Model.RD, n)
-        # m(s) = w0 s w0: position i holds n+1 minus the entry at n+1-i
-        assert list(mirror(states)) == [bytes(n + 1 - v for v in reversed(s))
-                                        for s in states]
-        assert list(mirror([bytes(identity(n))])) == [bytes(identity(n))]
-        moves = _moves(Model.RD, n)
-        images = {tuple(move(states)) for move in moves}
-        conjugates = {tuple(mirror(move(list(mirror(states)))))
-                      for move in moves}
-        assert len(images) == len(moves) and conjugates == images, n
+    for kind, n_max in ((TableKind.STANDARD, 8), (TableKind.PEG, 7)):
+        width, least = (3, 1) if kind is TableKind.PEG else (1, 2)
+        for n in range(n_max):
+            if kind is TableKind.PEG:  # every seventh at n = 6, for time
+                states = list(itertools.starmap(_peg_key, itertools.islice(
+                    itertools.product(itertools.permutations(identity(n)),
+                                      itertools.product("+-.", repeat=n)),
+                    0, None, 7 if n == 6 else 1)))
+            else:
+                states = list(map(bytes, itertools.permutations(identity(n))))
+            mirror = _mirror(Model.RD, n, kind)
+            # m(s) = w0 s w0: position i holds the entry at n+1-i, its
+            # value v relabelled n+1-v, a peg byte 3v + c as 3(n+1-v) + c
+            mirrored = list(mirror(states))
+            assert mirrored == [bytes(width * (n + 1 - b // width) + b % width
+                                      for b in reversed(s)) for s in states]
+            assert list(mirror(mirrored)) == states  # an involution
+            # the move on the values (i, j] is the mirror of the one on
+            # (n-j, n-i]
+            moves = _moves(Model.RD, n, kind)
+            blocks = _blocks(Model.RD, n, least)
+            for (i, j), move in zip(blocks, moves):
+                twin = moves[blocks.index((n - j, n - i))]
+                assert list(mirror(move(mirrored))) == list(twin(states)), \
+                    (n, i, j)
+            # m fixes the goals: the identity, or the set of the 2^n pegs on
+            # it with + and bullets, one of which it fixes iff its bullet
+            # positions are symmetric
+            goals = ({bytes(identity(n)): ()} if kind is TableKind.STANDARD
+                     else {_peg_key(identity(n), decs): decs
+                           for decs in itertools.product("+.", repeat=n)})
+            assert set(mirror(goals)) == set(goals)
+            for goal, decs in goals.items():
+                assert (list(mirror([goal])) == [goal]) == \
+                    (decs == decs[::-1]), decs
 
 
 def test_prefix_reversals_get_no_mirror():
@@ -594,7 +611,7 @@ def test_distance_with_cache_dir(tmp_path):
 @pytest.mark.parametrize("model", list(Model))
 def test_distance_with_cache_dir_matches_bfs(model, tmp_path):
     for n in range(8):
-        *_, want = _standard_search(model, identity(n))
+        *_, want = _frontier_bfs(model, [bytes(identity(n))])
         # the first pass writes the file, the second reads it back
         for _ in range(2):
             clear_memory_cache()
@@ -661,7 +678,7 @@ def refuse_search(*args, **kwargs):
 
 
 def _down_set(model, n, depth):
-    *_, whole = _standard_search(model, identity(n))
+    *_, whole = _frontier_bfs(model, [bytes(identity(n))])
     return {s: d for s, d in whole.items() if d <= depth}
 
 
@@ -701,7 +718,7 @@ def test_near_read_searches_only_to_its_depth(model):
 def test_partial_table_holds_whole_layers(model):
     # each read completes layers, and only as many as its state needs
     n = 7
-    *_, whole = _standard_search(model, identity(n))
+    *_, whole = _frontier_bfs(model, [bytes(identity(n))])
     by_depth = sorted(whole.items(), key=lambda item: (item[1], item[0]))
     clear_memory_cache()
     rng = random.Random(7)
